@@ -9,9 +9,8 @@ use htd_core::ordering::{CoverStrategy, EliminationOrdering, GhwEvaluator, TwEva
 use htd_csp::{builders, Relation};
 use htd_heuristics::{combined_lower_bound, upper::min_fill};
 use htd_hypergraph::{gen, EliminationGraph, VertexSet};
-use htd_search::astar_tw::astar_tw;
-use htd_search::bb_ghw::bb_ghw;
-use htd_search::bb_tw::bb_tw;
+use htd_search::astar::astar_tw;
+use htd_search::bb::{bb_ghw, bb_tw};
 use htd_search::SearchConfig;
 use htd_setcover::{greedy_cover, CoverCache, ExactCover};
 use rand::rngs::StdRng;

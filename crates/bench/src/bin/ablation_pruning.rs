@@ -9,8 +9,8 @@
 
 use htd_bench::{Scale, Table};
 use htd_hypergraph::gen::named_graph;
-use htd_search::astar_tw::astar_tw;
-use htd_search::bb_tw::bb_tw;
+use htd_search::astar::astar_tw;
+use htd_search::bb::bb_tw;
 use htd_search::SearchConfig;
 
 fn main() {

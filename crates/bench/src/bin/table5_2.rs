@@ -5,7 +5,7 @@
 use htd_bench::{secs, Scale, Table};
 use htd_heuristics::{combined_lower_bound, upper::min_fill};
 use htd_hypergraph::gen::grid_graph;
-use htd_search::astar_tw::astar_tw;
+use htd_search::astar::astar_tw;
 use htd_search::SearchConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;

@@ -10,7 +10,7 @@
 use htd_bench::{f2, ga_support::ga_tw_stats, Scale, Table};
 use htd_ga::GaParams;
 use htd_hypergraph::gen::named_graph;
-use htd_search::astar_tw::astar_tw;
+use htd_search::astar::astar_tw;
 use htd_search::SearchConfig;
 
 fn main() {

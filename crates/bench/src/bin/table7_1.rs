@@ -9,7 +9,7 @@
 use htd_bench::{f2, ga_support::ga_ghw_stats, Scale, Table};
 use htd_ga::GaParams;
 use htd_hypergraph::gen::named_hypergraph;
-use htd_search::bb_ghw::bb_ghw;
+use htd_search::bb::bb_ghw;
 use htd_search::SearchConfig;
 
 fn main() {

@@ -8,7 +8,7 @@
 
 use htd_bench::{secs, Scale, Table};
 use htd_hypergraph::gen::named_hypergraph;
-use htd_search::bb_ghw::bb_ghw;
+use htd_search::bb::bb_ghw;
 use htd_search::SearchConfig;
 
 fn main() {

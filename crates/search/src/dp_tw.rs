@@ -185,7 +185,7 @@ mod tests {
 
     #[test]
     fn matches_branch_and_bound_beyond_exhaustive_reach() {
-        use crate::bb_tw::bb_tw;
+        use crate::bb::bb_tw;
         use crate::SearchConfig;
         for seed in 0..6u64 {
             let g = gen::random_gnp(14, 0.25, seed);

@@ -1,59 +1,48 @@
 //! Parallel branch and bound for treewidth.
 //!
-//! The depth-first search of [`bb_tw`](crate::bb_tw) parallelizes at the
+//! The depth-first search of [`bb_tw`](crate::bb::bb_tw) parallelizes at the
 //! root: each first-eliminated vertex spawns an independent subtree, and
-//! all workers share one [`Incumbent`], so a good solution found by one
-//! immediately tightens every other worker's pruning. Workers never block
-//! each other (the ordering behind the incumbent is guarded separately
-//! from the atomic bound), so this is the textbook shared-bound parallel
-//! B&B — and the same `Incumbent` type the portfolio solver uses across
-//! heterogeneous engines.
+//! all workers share one [`Incumbent`](crate::Incumbent), so a good
+//! solution found by one immediately tightens every other worker's
+//! pruning. Workers never block each other (the ordering behind the
+//! incumbent is guarded separately from the atomic bound), so this is the
+//! textbook shared-bound parallel B&B — and the same `Incumbent` type the
+//! portfolio solver uses across heterogeneous engines. Each worker runs
+//! the generic DFS of [`bb`](crate::bb) over its share of the root's
+//! children.
 
 use std::sync::Arc;
 
-use htd_core::ordering::{EliminationOrdering, TwEvaluator};
-use htd_heuristics::{lower::minor_min_width, reduce, upper::min_fill};
+use htd_heuristics::reduce;
 use htd_hypergraph::{EliminationGraph, Graph, Vertex};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::bb_tw::alive_graph;
-use crate::config::{Budget, SearchConfig, SearchOutcome, SearchStats};
-use crate::incumbent::{offer_traced, raise_traced, Incumbent};
+use crate::bb::Dfs;
+use crate::config::{SearchConfig, SearchOutcome, SearchStats};
+use crate::width::{outcome, prologue, TwWidth};
 
 const WHO: &str = "parallel_bb";
 
 /// Parallel BB-tw across `threads` workers. Semantics match
-/// [`bb_tw`](crate::bb_tw): exact within budget (the node budget applies
+/// [`bb_tw`](crate::bb::bb_tw): exact within budget (the node budget applies
 /// per worker), anytime bounds otherwise. The PR2 toggle is ignored here —
 /// its sibling-branch bookkeeping does not cross worker boundaries — so
 /// workers prune with PR1, reductions and the shared incumbent only.
 pub fn bb_tw_parallel(g: &Graph, cfg: &SearchConfig, threads: usize) -> SearchOutcome {
     let n = g.num_vertices();
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
     if n == 0 || threads <= 1 {
-        return crate::bb_tw::bb_tw(g, cfg);
+        return crate::bb::bb_tw(g, cfg);
     }
     let inc = cfg.incumbent();
-    let lb0 = htd_heuristics::combined_lower_bound(g, &mut rng);
-    let h0 = min_fill(g, &mut rng);
-    offer_traced(&inc, &cfg.tracer, WHO, h0.width, h0.ordering.as_slice());
-    raise_traced(&inc, &cfg.tracer, WHO, lb0);
-    if lb0 >= inc.upper() {
-        let upper = inc.upper();
-        inc.mark_exact();
-        return SearchOutcome {
-            lower: upper,
-            upper,
-            exact: true,
-            ordering: inc.best_order().map(EliminationOrdering::new_unchecked),
-            stats: SearchStats::default(),
-        };
-    }
-
+    let lb0 = match prologue(&mut TwWidth::new(g), cfg, &inc, WHO) {
+        Ok((lb0, _)) => lb0,
+        Err(done) => return done,
+    };
     // each worker's budget must observe the shared incumbent's cancel flag
     let worker_cfg = SearchConfig {
         shared: Some(Arc::clone(&inc)),
+        use_pr2: false,
         ..cfg.clone()
     };
 
@@ -81,14 +70,18 @@ pub fn bb_tw_parallel(g: &Graph, cfg: &SearchConfig, threads: usize) -> SearchOu
         .collect();
 
     let start = std::time::Instant::now();
-    let results: Vec<(bool, SearchStats)> = crossbeam::thread::scope(|scope| {
+    let results: Vec<(bool, SearchStats)> = std::thread::scope(|scope| {
         let handles: Vec<_> = chunks
             .iter()
             .enumerate()
             .map(|(t, chunk)| {
                 let inc = &inc;
                 let worker_cfg = &worker_cfg;
-                scope.spawn(move |_| worker(g, worker_cfg, lb0, chunk, t as u64, inc))
+                scope.spawn(move || {
+                    let rng = StdRng::seed_from_u64(cfg.seed ^ ((t as u64) << 32));
+                    let mut dfs = Dfs::new(TwWidth::new(g), worker_cfg, inc, WHO, lb0, rng);
+                    (dfs.branch(0, chunk, false, None), dfs.finish())
+                })
             })
             .collect();
         handles
@@ -97,11 +90,9 @@ pub fn bb_tw_parallel(g: &Graph, cfg: &SearchConfig, threads: usize) -> SearchOu
             // not-completed, so exactness is never claimed past the hole
             .map(|h| h.join().unwrap_or((false, SearchStats::default())))
             .collect()
-    })
-    .unwrap_or_default();
+    });
 
-    // empty results = the scope itself failed: nothing completed
-    let exact = (!results.is_empty() && results.iter().all(|(done, _)| *done)) || inc.is_exact();
+    let exact = results.iter().all(|(done, _)| *done) || inc.is_exact();
     let mut stats = SearchStats::default();
     for (_, s) in &results {
         stats.expanded += s.expanded;
@@ -109,132 +100,7 @@ pub fn bb_tw_parallel(g: &Graph, cfg: &SearchConfig, threads: usize) -> SearchOu
         stats.pruned += s.pruned;
     }
     stats.elapsed = start.elapsed();
-    if exact {
-        inc.mark_exact();
-    }
-    let upper = inc.upper();
-    let order = inc.best_order().unwrap_or_default();
-    // the recorded ordering may be a PR1-completed prefix; re-evaluate to
-    // confirm it achieves the bound
-    debug_assert!({
-        let mut ev = TwEvaluator::new(g);
-        ev.width(&order) <= upper
-    });
-    SearchOutcome {
-        lower: if exact { upper } else { inc.lower().min(upper) },
-        upper,
-        exact,
-        ordering: Some(EliminationOrdering::new_unchecked(order)),
-        stats,
-    }
-}
-
-/// One worker: depth-first over its root subset with the shared incumbent.
-fn worker(
-    g: &Graph,
-    cfg: &SearchConfig,
-    lb0: u32,
-    roots: &[Vertex],
-    salt: u64,
-    inc: &Incumbent,
-) -> (bool, SearchStats) {
-    let mut stats = SearchStats::default();
-    let mut budget = Budget::new(cfg, "parallel_bb");
-    let mut rng = StdRng::seed_from_u64(cfg.seed ^ (salt << 32));
-    let mut eg = EliminationGraph::new(g);
-    let mut order: Vec<Vertex> = Vec::new();
-    let mut completed = true;
-    for &v in roots {
-        let d = eg.degree(v);
-        let mark = eg.log_len();
-        eg.eliminate(v);
-        order.push(v);
-        completed &= dfs(
-            cfg,
-            lb0,
-            &mut eg,
-            d,
-            &mut order,
-            inc,
-            &mut budget,
-            &mut rng,
-            &mut stats,
-        );
-        order.pop();
-        eg.undo_to(mark);
-        if !completed {
-            break;
-        }
-    }
-    stats.expanded = budget.expanded;
-    (completed, stats)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn dfs(
-    cfg: &SearchConfig,
-    lb0: u32,
-    eg: &mut EliminationGraph,
-    g_width: u32,
-    order: &mut Vec<Vertex>,
-    inc: &Incumbent,
-    budget: &mut Budget,
-    rng: &mut StdRng,
-    stats: &mut SearchStats,
-) -> bool {
-    if !budget.tick() {
-        return false;
-    }
-    let remaining = eg.num_alive();
-    if remaining == 0 {
-        offer_traced(inc, &cfg.tracer, WHO, g_width, order);
-        return true;
-    }
-    let w = g_width.max(remaining - 1);
-    if w < inc.upper() {
-        let mut o = order.clone();
-        o.extend(eg.alive().iter());
-        offer_traced(inc, &cfg.tracer, WHO, w, &o);
-    }
-    if remaining - 1 <= g_width {
-        return true;
-    }
-    // h_sub bounds the alive subgraph's treewidth; pruning may also use
-    // g_width and lb0, but the almost-simplicial rule may not (they bound
-    // the completion, not the subgraph)
-    let h_sub = minor_min_width(&alive_graph(eg), rng);
-    if g_width.max(h_sub).max(lb0) >= inc.upper() {
-        stats.pruned += 1;
-        return true;
-    }
-    let children: Vec<Vertex> = if cfg.use_reductions {
-        match reduce::find_reducible(eg, h_sub) {
-            Some(v) => vec![v],
-            None => eg.alive().to_vec(),
-        }
-    } else {
-        eg.alive().to_vec()
-    };
-    let mut completed = true;
-    for v in children {
-        let d = eg.degree(v);
-        let child_g = g_width.max(d);
-        if child_g >= inc.upper() {
-            stats.pruned += 1;
-            continue;
-        }
-        let mark = eg.log_len();
-        eg.eliminate(v);
-        order.push(v);
-        stats.generated += 1;
-        completed &= dfs(cfg, lb0, eg, child_g, order, inc, budget, rng, stats);
-        order.pop();
-        eg.undo_to(mark);
-        if !completed {
-            break;
-        }
-    }
-    completed
+    outcome(&inc, inc.lower(), exact, stats)
 }
 
 #[cfg(test)]
@@ -247,7 +113,7 @@ mod tests {
         for seed in 0..8u64 {
             let g = gen::random_gnp(10, 0.35, seed);
             let cfg = SearchConfig::default();
-            let seq = crate::bb_tw::bb_tw(&g, &cfg);
+            let seq = crate::bb::bb_tw(&g, &cfg);
             for threads in [2usize, 4] {
                 let par = bb_tw_parallel(&g, &cfg, threads);
                 assert!(par.exact, "seed {seed} threads {threads}");
@@ -263,7 +129,7 @@ mod tests {
         assert!(out.exact);
         assert_eq!(out.upper, 18);
         // the reported ordering achieves the bound
-        let mut ev = TwEvaluator::new(&g);
+        let mut ev = htd_core::ordering::TwEvaluator::new(&g);
         assert!(ev.width(out.ordering.unwrap().as_slice()) <= 18);
     }
 
@@ -286,20 +152,19 @@ mod tests {
     fn external_cancellation_stops_workers() {
         use std::time::{Duration, Instant};
         let g = gen::queen_graph(7);
-        let inc = Arc::new(Incumbent::new());
+        let inc = Arc::new(crate::Incumbent::new());
         let cfg = SearchConfig {
             shared: Some(Arc::clone(&inc)),
             ..SearchConfig::default()
         };
         let t0 = Instant::now();
-        crossbeam::thread::scope(|scope| {
-            let handle = scope.spawn(|_| bb_tw_parallel(&g, &cfg, 4));
+        std::thread::scope(|scope| {
+            let handle = scope.spawn(|| bb_tw_parallel(&g, &cfg, 4));
             std::thread::sleep(Duration::from_millis(50));
             inc.cancel();
             let out = handle.join().expect("solver");
             assert!(out.lower <= out.upper);
-        })
-        .expect("scope");
+        });
         assert!(
             t0.elapsed() < Duration::from_millis(50 + 500),
             "workers did not stop promptly: {:?}",

@@ -816,10 +816,10 @@ pub(crate) fn run_branch_bound_spec(ctx: &EngineContext<'_>) -> EngineReport {
     let start = Instant::now();
     let out = match ctx.problem.objective {
         Objective::GeneralizedHypertreeWidth => {
-            crate::bb_ghw::bb_ghw(ctx.problem.hypergraph().expect("validated"), ctx.cfg)
+            crate::bb::bb_ghw(ctx.problem.hypergraph().expect("validated"), ctx.cfg)
                 .expect("validated: coverable")
         }
-        _ => crate::bb_tw::bb_tw(ctx.problem.graph(), ctx.cfg),
+        _ => crate::bb::bb_tw(ctx.problem.graph(), ctx.cfg),
     };
     let mut report = blank_report(Engine::BranchBound);
     report.lower = out.lower;
@@ -835,10 +835,10 @@ pub(crate) fn run_astar_spec(ctx: &EngineContext<'_>) -> EngineReport {
     let start = Instant::now();
     let out = match ctx.problem.objective {
         Objective::GeneralizedHypertreeWidth => {
-            crate::astar_ghw::astar_ghw(ctx.problem.hypergraph().expect("validated"), ctx.cfg)
+            crate::astar::astar_ghw(ctx.problem.hypergraph().expect("validated"), ctx.cfg)
                 .expect("validated: coverable")
         }
-        _ => crate::astar_tw::astar_tw(ctx.problem.graph(), ctx.cfg),
+        _ => crate::astar::astar_tw(ctx.problem.graph(), ctx.cfg),
     };
     let mut report = blank_report(Engine::AStar);
     report.lower = out.lower;

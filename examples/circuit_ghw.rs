@@ -10,7 +10,7 @@ use htd::core::{CoverStrategy, GhwEvaluator};
 use htd::ga::{ga_ghw, saiga_ghw, GaParams, SaigaParams};
 use htd::heuristics::{ghw_lower_bound, upper::min_fill};
 use htd::hypergraph::gen;
-use htd::search::bb_ghw::bb_ghw;
+use htd::search::bb::bb_ghw;
 use htd::search::SearchConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;

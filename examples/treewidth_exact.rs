@@ -6,8 +6,8 @@
 //! ```
 
 use htd::hypergraph::gen;
-use htd::search::astar_tw::astar_tw;
-use htd::search::bb_tw::bb_tw;
+use htd::search::astar::astar_tw;
+use htd::search::bb::bb_tw;
 use htd::search::SearchConfig;
 
 fn main() {

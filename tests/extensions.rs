@@ -10,7 +10,7 @@ use htd::core::pace;
 use htd::csp::{builders, count_solutions_td};
 use htd::heuristics::{improve_ordering, IlsParams};
 use htd::hypergraph::{gen, io};
-use htd::search::astar_tw::astar_tw;
+use htd::search::astar::astar_tw;
 use htd::search::{bb_tw_parallel, dp_treewidth, hypertree_width, SearchConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -41,7 +41,7 @@ fn width_hierarchy_on_suite_instances() {
         ("grid2d_4", gen::grid2d(4)),
     ] {
         let cfg = SearchConfig::default();
-        let ghw = htd::search::bb_ghw::bb_ghw(&h, &cfg).unwrap();
+        let ghw = htd::search::bb::bb_ghw(&h, &cfg).unwrap();
         assert!(ghw.exact, "{name}");
         let (hw, hd) = hypertree_width(&h, ghw.upper).unwrap();
         hd.validate_hypertree(&h).unwrap();
