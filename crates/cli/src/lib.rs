@@ -176,10 +176,6 @@ pub struct Options {
     /// `serve`: directory of the persistent verified certificate store;
     /// loaded entries are oracle-re-verified before warming the cache.
     pub store: Option<String>,
-    /// `serve`: use the non-blocking event-loop front end (pipelined
-    /// batches, one thread for all connections) instead of
-    /// thread-per-connection.
-    pub event_loop: bool,
     /// `serve`: this node's stable cluster id (required with `--peers`).
     pub node_id: Option<String>,
     /// `serve`: the other cluster members as `id=host:port,..`.
@@ -214,7 +210,6 @@ impl Default for Options {
             mode: None,
             limit: None,
             store: None,
-            event_loop: false,
             node_id: None,
             peers: None,
             replication: None,
@@ -326,7 +321,6 @@ pub fn parse_options(args: &[String]) -> Result<Options, HtdError> {
                         .clone(),
                 )
             }
-            "--event-loop" => o.event_loop = true,
             "--node-id" => {
                 o.node_id = Some(
                     it.next()
@@ -831,7 +825,6 @@ pub fn cmd_serve(o: &Options) -> Result<String, HtdError> {
         memory_mb: o.memory_mb,
         chaos: o.chaos_seed.map(htd_service::FaultPlan::chaos),
         store_dir: o.store.as_ref().map(std::path::PathBuf::from),
-        event_loop: o.event_loop,
         cluster,
         ..ServeOptions::default()
     };
@@ -956,7 +949,6 @@ serve/query:  --addr HOST:PORT  --cache-mb N  --queue N  --objective tw|ghw|hw
               --verify (serve: oracle-check responses before caching)
               --chaos SEED (serve: deterministic fault injection, testing)
               --store DIR (serve: persistent verified certificate store)
-              --event-loop (serve: non-blocking front end, pipelined batches)
               --node-id ID --peers ID=HOST:PORT,.. (serve: join a cluster)
               --replication N (serve: owners per key on the ring, default 2)
 `htd <command> --help` prints command-specific usage.";
@@ -1028,9 +1020,11 @@ pub fn help_for(cmd: &str) -> Option<&'static str> {
             decomposition; --format json prints the Answer object."),
         "gen" => Some("usage: htd gen <name>\n\
             Prints a named benchmark instance (e.g. queen5_5, adder_3, grid2d_4)."),
-        "serve" => Some("usage: htd serve [--addr HOST:PORT] [--threads N] [--cache-mb N] [--queue N] [--time MS] [--memory-mb N] [--chaos SEED] [--store DIR] [--event-loop] [--node-id ID --peers ID=HOST:PORT,..] [--replication N] [--verify] [--quiet]\n\
+        "serve" => Some("usage: htd serve [--addr HOST:PORT] [--threads N] [--cache-mb N] [--queue N] [--time MS] [--memory-mb N] [--chaos SEED] [--store DIR] [--node-id ID --peers ID=HOST:PORT,..] [--replication N] [--verify] [--quiet]\n\
             Runs the decomposition server (htd-service): newline-delimited JSON\n\
-            requests over TCP, canonical-form result caching, per-request\n\
+            requests over TCP served by one non-blocking poll(2) loop, with\n\
+            pipelined batches (responses matched by request id; see\n\
+            docs/service.md), canonical-form result caching, per-request\n\
             deadlines, bounded-queue backpressure, and HTTP GET /healthz and\n\
             /metrics (Prometheus text) on the same port. --time sets the\n\
             default deadline for requests that carry none (default 10000);\n\
@@ -1044,9 +1038,7 @@ pub fn help_for(cmd: &str) -> Option<&'static str> {
             --store DIR backs the cache with an append-only certificate\n\
             store so restarts serve warm (every loaded entry is re-verified\n\
             by the htd-check oracle; tampered entries are dropped and tick\n\
-            htd_store_rejects_total); --event-loop serves all connections\n\
-            from one non-blocking poll(2) loop with pipelined batches\n\
-            (responses matched by request id; see docs/service.md);\n\
+            htd_store_rejects_total);\n\
             --node-id/--peers join an N-node cluster: a consistent-hash\n\
             ring shards the fingerprint keyspace, owners replicate\n\
             verified certificates (--replication, default 2), a failure\n\
@@ -1100,7 +1092,7 @@ pub fn run(args: &[String]) -> Result<String, HtdError> {
     };
     let o = parse_options(&args[2..])?;
     if o.profile.is_none() {
-        return dispatch(cmd, file, &text, &o);
+        return run_file_command(cmd, file, &text, &o);
     }
     // --profile: run the whole command under one root span so the
     // folded stacks account for (nearly) the full wall time, then dump
@@ -1110,14 +1102,14 @@ pub fn run(args: &[String]) -> Result<String, HtdError> {
     let started = std::time::Instant::now();
     let result = {
         let _root = htd_trace::span!(root_span_name(cmd));
-        dispatch(cmd, file, &text, &o)
+        run_file_command(cmd, file, &text, &o)
     };
     let wall = started.elapsed();
     htd_trace::set_spans_enabled(false);
     result.and_then(|out| finish_profile(out, &o, wall))
 }
 
-fn dispatch(cmd: &str, file: &str, text: &str, o: &Options) -> Result<String, HtdError> {
+fn run_file_command(cmd: &str, file: &str, text: &str, o: &Options) -> Result<String, HtdError> {
     if cmd == "solve" {
         return cmd_solve(text, o);
     }

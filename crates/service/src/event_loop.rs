@@ -1,23 +1,28 @@
-//! Readiness-based non-blocking front end: one loop, many connections,
+//! The service's front end: one readiness-based, non-blocking loop over
+//! `poll(2)` owns accept, read and write for every connection, with
 //! pipelined batches.
 //!
-//! The thread-per-connection path caps throughput at "threads the OS
-//! will give us"; this module replaces it (behind `--event-loop`) with a
-//! single acceptor/reader/writer loop over `poll(2)` — raw FFI on the
-//! same pattern as the server's `signal()` handler, **no runtime
-//! dependency** — multiplexing every client socket plus a self-pipe
-//! waker:
+//! The loop is raw FFI on the same pattern as the server's `signal()`
+//! handler — **no runtime dependency** — and multiplexes the listener,
+//! every client socket and a self-pipe waker:
 //!
 //! * **Per-connection state machines** hold a read buffer (partial
 //!   frames survive across readiness events; a slow-loris byte-at-a-time
 //!   writer costs one buffer, not one thread), a write buffer (responses
 //!   flush as `POLLOUT` allows), and the in-flight request count.
+//! * **Bounded client input**: each readiness event reads at most
+//!   `READ_CHUNK` bytes from a connection and never past the frame
+//!   cap, so a no-newline flood is cut off at the cap and a pipelined
+//!   flood costs every other connection at most one chunk of work per
+//!   turn. A connection whose unflushed replies exceed
+//!   `MAX_UNFLUSHED` is not read from until its client catches up:
+//!   a client that writes without reading stalls on its own socket.
 //! * **Pipelined batch mode**: a client may write many newline-JSON
 //!   requests without waiting; each is admitted independently into the
-//!   same worker-pool/queue/watchdog/backpressure machinery as the
-//!   blocking path ([`crate::server::admit_request`] is shared code),
-//!   and responses are written back *as they complete* — possibly out
-//!   of request order, matched by the request `id` the client chose.
+//!   worker-pool/queue/watchdog/backpressure machinery
+//!   ([`crate::server::admit_request`]), and responses are written back
+//!   *as they complete* — possibly out of request order, matched by the
+//!   request `id` the client chose.
 //! * **Completions** flow from workers through a [`Completions`] queue
 //!   plus a socketpair waker: a worker pushes the finished response and
 //!   writes one byte; the loop wakes, matches the `(connection, token)`
@@ -25,20 +30,18 @@
 //!   entry that outlives `deadline + REPLY_GRACE` is answered with a
 //!   synthesized `timeout` (and the late completion, should it still
 //!   arrive, is dropped — never a duplicate response).
-//! * **HTTP probes** (`GET /healthz`, `GET /metrics`, …) work on the
-//!   same port exactly as in the blocking path.
+//! * **HTTP probes** (`GET /healthz`, `GET /metrics`, …) are served on
+//!   the same port.
 //!
-//! Graceful drain is unchanged: a draining server keeps the loop (and
-//! its probes) alive, refuses new solves at admission, and the loop
-//! delivers every in-flight response before exiting on shutdown.
+//! Graceful drain: a draining server keeps the loop (and its probes)
+//! alive, refuses new solves at admission, and the loop delivers every
+//! in-flight response before exiting on shutdown.
 
 #[cfg(unix)]
-pub(crate) use imp::run;
-#[cfg(unix)]
-pub(crate) use imp::Completions;
+pub(crate) use imp::{run, Completions, EventLoop};
 
 #[cfg(not(unix))]
-pub(crate) use stub::{run, Completions};
+pub(crate) use stub::{run, Completions, EventLoop};
 
 #[cfg(not(unix))]
 mod stub {
@@ -47,19 +50,29 @@ mod stub {
     use std::net::TcpListener;
     use std::sync::Arc;
 
-    /// Completion queue stub: the event loop needs `poll(2)`, so on
-    /// non-unix targets nothing routes through here.
+    /// Completion queue stub: [`EventLoop::new`] fails, so no server
+    /// starts and nothing is ever pushed.
     pub(crate) struct Completions;
 
     impl Completions {
         pub(crate) fn push(&self, _conn: u64, _token: u64, _response: Response) {}
     }
 
-    pub(crate) fn run(_inner: &Arc<Inner>, _listener: TcpListener) -> std::io::Result<()> {
-        Err(std::io::Error::new(
-            std::io::ErrorKind::Unsupported,
-            "--event-loop requires poll(2); use the threaded front end on this platform",
-        ))
+    /// Uninhabited: without `poll(2)` there is no front end, and
+    /// `Server::start` returns the `Unsupported` error of [`EventLoop::new`].
+    pub(crate) enum EventLoop {}
+
+    impl EventLoop {
+        pub(crate) fn new(_listener: TcpListener) -> std::io::Result<EventLoop> {
+            Err(std::io::Error::new(
+                std::io::ErrorKind::Unsupported,
+                "htd serve requires poll(2), which this platform lacks",
+            ))
+        }
+    }
+
+    pub(crate) fn run(_inner: &Arc<Inner>, front: EventLoop) -> std::io::Result<()> {
+        match front {}
     }
 }
 
@@ -110,6 +123,15 @@ mod imp {
     const MAX_HTTP_HEADER: usize = 64 << 10;
     /// Idle poll timeout when nothing is pending.
     const IDLE_POLL_MS: i32 = 50;
+    /// Most bytes read from one connection per readiness event.
+    /// Level-triggered `poll` reports the rest on the next turn, so a
+    /// flooding client delays every other connection by at most the
+    /// work of one chunk.
+    const READ_CHUNK: usize = 64 << 10;
+    /// Unflushed reply bytes above which a connection is not read from:
+    /// a client that pipelines requests without reading the replies
+    /// stalls on its own socket instead of growing this buffer.
+    const MAX_UNFLUSHED: usize = 1 << 20;
 
     /// Worker → loop completion queue: finished responses tagged with
     /// the `(connection, token)` they answer, plus a socketpair waker so
@@ -161,6 +183,21 @@ mod imp {
             self.written < self.write_buf.len()
         }
 
+        /// Input is wanted unless the connection is closing, at EOF, or
+        /// backed up on unflushed replies.
+        fn wants_read(&self) -> bool {
+            !self.closing && !self.eof && self.write_buf.len() - self.written < MAX_UNFLUSHED
+        }
+
+        /// Cap on the unfinished frame: probe headers are tiny.
+        fn read_cap(&self) -> usize {
+            if self.http.is_some() {
+                MAX_HTTP_HEADER
+            } else {
+                MAX_FRAME as usize
+            }
+        }
+
         fn queue(&mut self, bytes: &[u8]) {
             // compact the flushed prefix before growing
             if self.written > 0 {
@@ -197,18 +234,42 @@ mod imp {
         received: Instant,
     }
 
-    /// Runs the event loop until the server's shutdown flag flips. The
-    /// loop owns the listener, every client socket, and the pending
-    /// table; workers only ever touch the [`Completions`] queue.
-    pub(crate) fn run(inner: &Arc<Inner>, listener: TcpListener) -> std::io::Result<()> {
-        listener.set_nonblocking(true)?;
-        let (wake_rx, wake_tx) = UnixStream::pair()?;
-        wake_rx.set_nonblocking(true)?;
-        wake_tx.set_nonblocking(true)?;
-        let completions = Arc::new(Completions {
-            ready: Mutex::new(Vec::new()),
-            waker: wake_tx,
-        });
+    /// The front end before it runs: the listener plus the completion
+    /// queue workers will push to.
+    pub(crate) struct EventLoop {
+        listener: TcpListener,
+        wake_rx: UnixStream,
+        completions: Arc<Completions>,
+    }
+
+    impl EventLoop {
+        pub(crate) fn new(listener: TcpListener) -> std::io::Result<EventLoop> {
+            listener.set_nonblocking(true)?;
+            let (wake_rx, wake_tx) = UnixStream::pair()?;
+            wake_rx.set_nonblocking(true)?;
+            wake_tx.set_nonblocking(true)?;
+            Ok(EventLoop {
+                listener,
+                wake_rx,
+                completions: Arc::new(Completions {
+                    ready: Mutex::new(Vec::new()),
+                    waker: wake_tx,
+                }),
+            })
+        }
+    }
+
+    /// Runs the event loop until the server's shutdown flag flips.
+    /// The loop owns the listener, every client socket, and the
+    /// pending table; workers only ever touch the [`Completions`]
+    /// queue.
+    pub(crate) fn run(inner: &Arc<Inner>, front: EventLoop) -> std::io::Result<()> {
+        let EventLoop {
+            listener,
+            wake_rx,
+            completions,
+        } = front;
+        let mut scratch = vec![0u8; READ_CHUNK];
         let mut conns: HashMap<u64, Conn> = HashMap::new();
         let mut pending: HashMap<(u64, u64), Pending> = HashMap::new();
         let reg = htd_trace::registry();
@@ -237,13 +298,16 @@ mod imp {
             });
             let mut order = Vec::with_capacity(conns.len());
             for (id, c) in &conns {
+                let mut events = 0;
+                if c.wants_read() {
+                    events |= POLLIN;
+                }
+                if c.wants_write() {
+                    events |= POLLOUT;
+                }
                 fds.push(PollFd {
                     fd: c.stream.as_raw_fd(),
-                    events: if c.wants_write() {
-                        POLLIN | POLLOUT
-                    } else {
-                        POLLIN
-                    },
+                    events,
                     revents: 0,
                 });
                 order.push(*id);
@@ -324,7 +388,8 @@ mod imp {
                     continue;
                 }
                 if re & (POLLIN | POLLHUP) != 0
-                    && handle_readable(inner, c, &completions, &mut pending).is_err()
+                    && c.wants_read()
+                    && handle_readable(inner, c, &mut scratch, &completions, &mut pending).is_err()
                 {
                     dead.push(*id);
                 }
@@ -332,18 +397,6 @@ mod imp {
 
             expire_pending(inner, &mut conns, &mut pending, Instant::now());
 
-            // salvage: a complete frame still buffered here means the
-            // last read batch ended without its readiness event being
-            // redelivered — level-triggered poll should make that
-            // impossible, but a silent wedge is the one failure a
-            // server cannot have, so enforce the invariant and count
-            // every violation (the counter staying 0 is the proof)
-            for c in conns.values_mut() {
-                if !c.closing && c.read_buf.contains(&b'\n') {
-                    reg.counter("htd_eventloop_salvaged_frames_total").inc();
-                    process_frames(inner, c, &completions, &mut pending);
-                }
-            }
             // reap: hard errors, finished closers, drained half-closes
             for (id, c) in &mut conns {
                 let drained = !c.wants_write();
@@ -364,47 +417,59 @@ mod imp {
         }
     }
 
-    /// Reads everything the socket has, then processes complete frames.
-    /// `Err` means the connection is beyond saving (I/O error).
+    /// Reads at most one chunk, never past the frame cap, then admits
+    /// the complete frames. Called only while [`Conn::wants_read`], so
+    /// the buffer is below its cap. `Err` means the connection is beyond
+    /// saving (I/O error).
     fn handle_readable(
         inner: &Arc<Inner>,
         c: &mut Conn,
+        scratch: &mut [u8],
         completions: &Arc<Completions>,
         pending: &mut HashMap<(u64, u64), Pending>,
     ) -> Result<(), ()> {
-        let mut scratch = [0u8; 64 << 10];
-        loop {
-            match (&c.stream).read(&mut scratch) {
+        let room = c.read_cap().saturating_sub(c.read_buf.len());
+        let n = loop {
+            match (&c.stream).read(&mut scratch[..room.min(READ_CHUNK)]) {
                 Ok(0) => {
                     c.eof = true;
-                    break;
+                    break 0;
                 }
-                Ok(n) => c.read_buf.extend_from_slice(&scratch[..n]),
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Ok(n) => break n,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break 0,
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                 Err(_) => return Err(()),
             }
-        }
-        process_frames(inner, c, completions, pending);
+        };
+        // everything buffered before this read holds no newline: frames
+        // are always consumed as soon as they complete
+        let scanned = c.read_buf.len();
+        c.read_buf.extend_from_slice(&scratch[..n]);
+        process_frames(inner, c, scanned, completions, pending);
         Ok(())
     }
 
     /// Consumes every complete `\n`-terminated frame in the read buffer,
-    /// admitting requests and queueing immediate responses. Enforces
-    /// [`MAX_FRAME`] on the unfinished remainder.
+    /// admitting requests and queueing immediate responses, then drains
+    /// the consumed prefix in one move. `read_buf[..scanned]` is known
+    /// to hold no newline. Enforces the frame cap on the unfinished
+    /// remainder.
     fn process_frames(
         inner: &Arc<Inner>,
         c: &mut Conn,
+        scanned: usize,
         completions: &Arc<Completions>,
         pending: &mut HashMap<(u64, u64), Pending>,
     ) {
+        let mut start = 0;
         while !c.closing {
-            let Some(nl) = c.read_buf.iter().position(|&b| b == b'\n') else {
+            let from = start.max(scanned);
+            let Some(nl) = c.read_buf[from..].iter().position(|&b| b == b'\n') else {
                 break;
             };
-            let line: Vec<u8> = c.read_buf.drain(..=nl).collect();
-            let line = String::from_utf8_lossy(&line).into_owned();
-
+            let end = from + nl + 1;
+            let line = String::from_utf8_lossy(&c.read_buf[start..end]).into_owned();
+            start = end;
             if let Some(request_line) = c.http.clone() {
                 // consuming probe headers; the blank line ends them
                 if line.trim().is_empty() {
@@ -435,7 +500,7 @@ mod imp {
                 Ok(req) => {
                     let token = c.next_token;
                     c.next_token += 1;
-                    let sink = ReplySink::Loop {
+                    let sink = ReplySink {
                         conn: c.id,
                         token,
                         completions: Arc::clone(completions),
@@ -468,11 +533,8 @@ mod imp {
                 }
             }
         }
-        let cap = if c.http.is_some() {
-            MAX_HTTP_HEADER
-        } else {
-            MAX_FRAME as usize
-        };
+        c.read_buf.drain(..start);
+        let cap = c.read_cap();
         if !c.closing && c.read_buf.len() >= cap {
             // unfinished frame at the cap: structured refusal, then close
             inner
@@ -511,7 +573,8 @@ mod imp {
     }
 
     /// Synthesizes `timeout` responses for pending requests whose reply
-    /// grace has passed (mirrors the blocking path's `recv_timeout`).
+    /// grace has passed: a worker that never answers still costs its
+    /// client no more than `deadline + REPLY_GRACE`.
     fn expire_pending(
         inner: &Arc<Inner>,
         conns: &mut HashMap<u64, Conn>,
@@ -555,9 +618,8 @@ mod imp {
         loop {
             deliver_completions(completions, conns, pending);
             expire_pending(inner, conns, pending, Instant::now());
-            for c in conns.values_mut() {
-                let _ = c.flush();
-            }
+            // a connection that fails to flush is gone: stop waiting on it
+            conns.retain(|_, c| c.flush().is_ok());
             let unflushed = conns.values().any(|c| c.wants_write());
             if (pending.is_empty() && !unflushed) || start.elapsed() > REPLY_GRACE {
                 break;

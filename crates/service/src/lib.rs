@@ -32,18 +32,18 @@
 //!
 //! The wire format is one JSON object per line over TCP ([`protocol`]),
 //! reusing [`htd_search::Outcome`]'s documented schema for results; the
-//! same socket also answers plain HTTP probes. `htd serve` / `htd query`
-//! front this crate from the CLI, and the `service_load` and
+//! same socket also answers plain HTTP probes. Every connection is
+//! served by one front end, the event loop ([`event_loop`]): a
+//! readiness-based non-blocking acceptor/reader/writer loop (raw
+//! `poll(2)`, no runtime dependency) with per-connection state machines,
+//! bounded buffering of client input and unread replies, and a
+//! *pipelined batch mode*: multiple newline-JSON requests in flight per
+//! connection, responses matched by request id. `htd serve` /
+//! `htd query` front this crate from the CLI, and the `service_load` and
 //! `answer_load` benches replay generated corpora against it.
 //!
-//! Three subsystems extend the core server:
+//! Two subsystems extend the core server:
 //!
-//! * **Event-loop front end** ([`event_loop`]) — a readiness-based
-//!   non-blocking acceptor/reader/writer loop (raw `poll(2)`, no runtime
-//!   dependency) with per-connection state machines, buffered
-//!   partial-frame handling, and a *pipelined batch mode*: multiple
-//!   newline-JSON requests in flight per connection, responses matched
-//!   by request id. Enabled with `htd serve --event-loop`.
 //! * **Persistent verified certificate store** ([`store`]) — an
 //!   append-only, crash-tolerant log of solved outcomes keyed by
 //!   canonical fingerprint; every entry is re-proved by the `htd-check`

@@ -3,8 +3,8 @@
 //!
 //! ## Lifecycle of a solve request
 //!
-//! 1. A connection thread parses the line, builds the [`Problem`] and the
-//!    canonical form of the (normalized) instance.
+//! 1. The event loop ([`crate::event_loop`]) parses the line, builds the
+//!    [`Problem`] and the canonical form of the (normalized) instance.
 //! 2. Cache lookup — a hit answers immediately without queueing.
 //! 3. The job enters the bounded work queue; a full queue means an
 //!    immediate `rejected` response with `retry_after_ms` (backpressure)
@@ -17,11 +17,11 @@
 //!    cancels it the moment the deadline passes — so a cold solve never
 //!    overshoots its deadline by more than the engines' cancellation
 //!    granularity (a few milliseconds).
-//! 5. The result is admitted to the cache and the response sent back on
-//!    the requesting connection.
+//! 5. The result is admitted to the cache and the response handed back
+//!    to the event loop, which writes it on the requesting connection.
 //!
 //! `answer` (conjunctive-query) requests ride the same queue, deadline
-//! watchdog and backpressure: the connection thread parses the query,
+//! watchdog and backpressure: the event loop parses the query,
 //! a worker runs the `htd-query` pipeline, and a per-server
 //! [`ShapeCache`] lets repeated query *shapes* skip decomposition while
 //! every answer is still evaluated against its own relations.
@@ -33,14 +33,12 @@
 //! `shutting_down`, queued and in-flight work runs to completion, probes
 //! (`/healthz`, `/metrics`, `ping`, `stats`) keep answering, and once the
 //! queue is empty and no solve is in flight the workers, watchdog and
-//! acceptor exit and a final metrics summary is flushed to the log.
+//! event loop exit and a final metrics summary is flushed to the log.
 
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpListener;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -57,6 +55,7 @@ use parking_lot::Mutex;
 use crate::cache::ResultCache;
 use crate::client::Client;
 use crate::cluster::{Cluster, ClusterConfig};
+use crate::event_loop::{Completions, EventLoop};
 use crate::metrics::Metrics;
 use crate::protocol::{
     parse_problem, AnswerRequest, CertPush, Command, InstanceFormat, Request, Response,
@@ -69,7 +68,7 @@ use crate::store::{CertStore, StoreRecord};
 const DEADLINE_SLACK: Duration = Duration::from_millis(10);
 /// How often the watchdog scans for expired deadlines.
 const WATCHDOG_PERIOD: Duration = Duration::from_millis(2);
-/// Extra time a connection waits for its worker beyond the deadline.
+/// Extra time the event loop waits for a worker beyond the deadline.
 pub(crate) const REPLY_GRACE: Duration = Duration::from_secs(2);
 /// Largest accepted request frame. A line still unfinished at this many
 /// bytes gets a structured protocol error instead of buffering without
@@ -128,11 +127,6 @@ pub struct ServeOptions {
     /// the survivors, and appends every new cacheable solve — so a
     /// restarted node serves warm without ever trusting disk.
     pub store_dir: Option<PathBuf>,
-    /// Serve connections from the readiness-based non-blocking event
-    /// loop ([`crate::event_loop`]) instead of a thread per connection.
-    /// The event loop additionally supports pipelined batches: many
-    /// requests in flight per connection, responses matched by id.
-    pub event_loop: bool,
     /// Cluster membership: `Some` makes this node one of N peers sharding
     /// the keyspace over a consistent-hash ring (see [`crate::cluster`]).
     pub cluster: Option<ClusterConfig>,
@@ -158,43 +152,24 @@ impl Default for ServeOptions {
             breaker_threshold: 3,
             breaker_probe_ms: 500,
             store_dir: None,
-            event_loop: false,
             cluster: None,
             reuse_addr: false,
         }
     }
 }
 
-/// Where a worker's finished [`Response`] goes: back to a blocking
-/// connection thread over a channel, or into the event loop's completion
-/// queue to be written when the connection is next writable.
-pub(crate) enum ReplySink {
-    /// Thread-per-connection path: the connection thread blocks on the
-    /// receiving end with `recv_timeout(deadline + REPLY_GRACE)`.
-    Channel(mpsc::Sender<Response>),
-    /// Event-loop path: push the response, tagged with the connection id
-    /// and per-connection token, and wake the loop.
-    Loop {
-        conn: u64,
-        token: u64,
-        completions: Arc<crate::event_loop::Completions>,
-    },
+/// Where a worker's finished [`Response`] goes: into the event loop's
+/// completion queue, tagged with the connection id and per-connection
+/// token, to be written when the connection is next writable.
+pub(crate) struct ReplySink {
+    pub(crate) conn: u64,
+    pub(crate) token: u64,
+    pub(crate) completions: Arc<Completions>,
 }
 
 impl ReplySink {
     pub(crate) fn send(&self, response: Response) {
-        match self {
-            // a dropped receiver means the connection went away; the
-            // result is already cached, so losing the reply is harmless
-            ReplySink::Channel(tx) => {
-                let _ = tx.send(response);
-            }
-            ReplySink::Loop {
-                conn,
-                token,
-                completions,
-            } => completions.push(*conn, *token, response),
-        }
+        self.completions.push(self.conn, self.token, response);
     }
 }
 
@@ -278,7 +253,7 @@ struct AnswerWork {
     mode: AnswerMode,
     limit: Option<u64>,
     use_shape_cache: bool,
-    /// Microseconds the connection thread spent parsing the query,
+    /// Microseconds the event loop spent parsing the query,
     /// forwarded into the pipeline's `parse` stage event.
     parse_us: u64,
 }
@@ -374,7 +349,7 @@ pub(crate) struct Inner {
     queue: WorkQueue,
     /// Draining: refuse new solves, finish queued + in-flight work.
     draining: AtomicBool,
-    /// Final stop: workers/watchdog/acceptor exit.
+    /// Final stop: workers/watchdog/event loop exit.
     pub(crate) shutdown: AtomicBool,
     /// Abrupt stop ([`Server::kill`]): exit without draining, dropping
     /// queued work and open connections — the in-process analog of
@@ -495,21 +470,22 @@ pub struct Server {
     addr: std::net::SocketAddr,
     workers: Vec<JoinHandle<()>>,
     watchdog: Option<JoinHandle<()>>,
-    acceptor: Option<JoinHandle<()>>,
+    front_end: Option<JoinHandle<()>>,
     agent: Option<JoinHandle<()>>,
 }
 
 impl Server {
-    /// Binds the listener and starts acceptor, watchdog and workers.
+    /// Binds the listener and starts the event loop, watchdog and
+    /// workers. Fails with `Unsupported` on targets without `poll(2)`.
     pub fn start(opts: ServeOptions) -> std::io::Result<Server> {
         let listener = if opts.reuse_addr {
             bind_reusable(&opts.addr)?
         } else {
             TcpListener::bind(&opts.addr)?
         };
-        listener.set_nonblocking(true)?;
         widen_accept_backlog(&listener);
         let addr = listener.local_addr()?;
+        let front = EventLoop::new(listener)?;
         let threads = opts.threads.max(1);
         let injector = opts.chaos.map(FaultInjector::new);
         let breakers = Engine::default_lineup()
@@ -567,7 +543,7 @@ impl Server {
         });
         inner.log(format_args!(
             "listening on {addr} workers={threads} cache_mb={} queue={} chaos={} memory_mb={} \
-             event_loop={} store={}",
+             store={}",
             inner.opts.cache_mb,
             inner.opts.queue_capacity,
             inner
@@ -578,7 +554,6 @@ impl Server {
                 .opts
                 .memory_mb
                 .map_or("-".to_string(), |m| m.to_string()),
-            inner.opts.event_loop,
             inner
                 .opts
                 .store_dir
@@ -607,8 +582,8 @@ impl Server {
         reg.counter("htd_mem_budget_aborts_total");
         reg.counter("htd_degraded_responses_total");
         reg.gauge("htd_engine_quarantined");
-        // certificate-store + event-loop series (zero when those
-        // subsystems are off, so dashboards see a stable schema)
+        // certificate-store + event-loop series (the store's stay zero
+        // when it is off, so dashboards see a stable schema)
         reg.counter("htd_store_loaded_total");
         reg.counter("htd_store_rejects_total");
         reg.counter("htd_store_truncated_total");
@@ -651,21 +626,16 @@ impl Server {
                 .spawn(move || watchdog_loop(&inner))
                 .expect("spawn watchdog")
         };
-        let acceptor = {
+        let front_end = {
             let inner = Arc::clone(&inner);
-            let event_loop = inner.opts.event_loop;
             thread::Builder::new()
-                .name("htd-acceptor".into())
+                .name("htd-event-loop".into())
                 .spawn(move || {
-                    if event_loop {
-                        if let Err(e) = crate::event_loop::run(&inner, listener) {
-                            inner.log(format_args!("event loop exited with error: {e}"));
-                        }
-                    } else {
-                        acceptor_loop(&inner, listener)
+                    if let Err(e) = crate::event_loop::run(&inner, front) {
+                        inner.log(format_args!("event loop exited with error: {e}"));
                     }
                 })
-                .expect("spawn acceptor")
+                .expect("spawn event loop")
         };
         let agent = inner.cluster.as_ref().map(|cluster| {
             inner.log(format_args!(
@@ -695,7 +665,7 @@ impl Server {
             addr,
             workers,
             watchdog: Some(watchdog),
-            acceptor: Some(acceptor),
+            front_end: Some(front_end),
             agent,
         })
     }
@@ -747,18 +717,11 @@ impl Server {
         if let Some(w) = self.watchdog.take() {
             let _ = w.join();
         }
-        if let Some(a) = self.acceptor.take() {
+        if let Some(a) = self.front_end.take() {
             let _ = a.join();
         }
         if let Some(a) = self.agent.take() {
             let _ = a.join();
-        }
-        // Workers (the only appenders) are joined; release the store's
-        // single-writer lock now rather than when the last Arc<Inner>
-        // drops, so a same-process reopen of the same --store directory
-        // succeeds even while detached connection threads linger.
-        if let Some(store) = self.inner.store.as_ref() {
-            store.unlock();
         }
         let m = &self.inner.metrics;
         self.inner.log(format_args!(
@@ -776,11 +739,10 @@ impl Server {
     /// Stops the node *abruptly*: no drain, queued work dropped,
     /// in-flight solves cancelled, connections severed mid-request — the
     /// in-process analog of `kill -9`, for crash and failover testing.
-    /// With the event-loop front end every open connection dies with the
-    /// loop (clients see a reset); the blocking front end can only sever
-    /// future connections, since its per-connection threads are detached.
-    /// The certificate store's exclusive lock is released on return, so
-    /// a replacement node can reopen the same `--store` directory.
+    /// Every open connection dies with the event loop (clients see a
+    /// reset). Every thread is joined, so the certificate store's
+    /// exclusive lock is released on return and a replacement node can
+    /// reopen the same `--store` directory.
     pub fn kill(mut self) {
         self.inner
             .log(format_args!("killed (abrupt stop, no drain)"));
@@ -797,14 +759,11 @@ impl Server {
         if let Some(w) = self.watchdog.take() {
             let _ = w.join();
         }
-        if let Some(a) = self.acceptor.take() {
+        if let Some(a) = self.front_end.take() {
             let _ = a.join();
         }
         if let Some(a) = self.agent.take() {
             let _ = a.join();
-        }
-        if let Some(store) = self.inner.store.as_ref() {
-            store.unlock();
         }
     }
 }
@@ -1479,73 +1438,10 @@ fn run_put_cert(inner: &Inner, job: &Job, p: &CertPush) -> Response {
     r
 }
 
-fn acceptor_loop(inner: &Arc<Inner>, listener: TcpListener) {
-    // keeps accepting while draining so probes stay reachable; only the
-    // final shutdown flag stops it
-    while !inner.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let inner = Arc::clone(inner);
-                let conn = inner.conn_seq.fetch_add(1, Ordering::Relaxed);
-                let _ = thread::Builder::new()
-                    .name(format!("htd-conn-{conn}"))
-                    .spawn(move || {
-                        let _ = serve_connection(&inner, stream);
-                    });
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => thread::sleep(Duration::from_millis(5)),
-        }
-    }
-}
-
-fn serve_connection(inner: &Arc<Inner>, stream: TcpStream) -> std::io::Result<()> {
-    let _ = stream.set_nodelay(true);
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = stream;
-    let mut line = String::new();
-    loop {
-        line.clear();
-        // bound the frame: a line still unterminated at MAX_FRAME bytes is
-        // a protocol violation, answered structurally and disconnected —
-        // never buffered to completion
-        let n = std::io::Read::take(&mut reader, MAX_FRAME).read_line(&mut line)?;
-        if n == 0 {
-            return Ok(()); // client closed
-        }
-        if n as u64 >= MAX_FRAME && !line.ends_with('\n') {
-            inner
-                .metrics
-                .error_responses
-                .fetch_add(1, Ordering::Relaxed);
-            let e = HtdError::Parse(format!(
-                "request frame exceeds {} bytes without a newline",
-                MAX_FRAME
-            ));
-            write_response(&mut writer, &Response::from_error(None, &e))?;
-            return Ok(());
-        }
-        if line.starts_with("GET ") || line.starts_with("HEAD ") {
-            return serve_http(inner, &line, &mut reader, &mut writer);
-        }
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            continue;
-        }
-        let response = match Json::parse(trimmed).and_then(|doc| Request::from_json(&doc)) {
-            Err(e) => Response::from_error(None, &e),
-            Ok(req) => dispatch(inner, req),
-        };
-        write_response(&mut writer, &response)?;
-    }
-}
-
 /// Serializes one response line (newline included), enforcing
 /// [`MAX_RESPONSE`]: an oversized body is replaced by a structured
 /// internal error so a single pathological result cannot monopolize the
-/// connection. Shared by the blocking writer and the event loop.
+/// connection.
 pub(crate) fn response_line(response: &Response) -> Vec<u8> {
     let mut body = response.to_json().to_string();
     if body.len() > MAX_RESPONSE {
@@ -1562,47 +1458,10 @@ pub(crate) fn response_line(response: &Response) -> Vec<u8> {
     body.into_bytes()
 }
 
-fn write_response(writer: &mut TcpStream, response: &Response) -> std::io::Result<()> {
-    writer.write_all(&response_line(response))?;
-    writer.flush()
-}
-
-/// Blocking dispatch for the thread-per-connection path: admit, then
-/// wait on the reply channel when the request was queued.
-fn dispatch(inner: &Arc<Inner>, req: Request) -> Response {
-    let (tx, rx) = mpsc::channel();
-    match admit_request(inner, req, ReplySink::Channel(tx)) {
-        Admission::Ready(r) => r,
-        Admission::Queued {
-            id,
-            fingerprint,
-            deadline,
-            received,
-        } => {
-            let timeout = (deadline + REPLY_GRACE).saturating_duration_since(Instant::now());
-            match rx.recv_timeout(timeout) {
-                Ok(r) => r,
-                Err(_) => {
-                    // worker lost (should not happen); report as timeout
-                    inner
-                        .metrics
-                        .timeout_responses
-                        .fetch_add(1, Ordering::Relaxed);
-                    let mut r = Response::new(id, Status::Timeout);
-                    r.error = Some("no worker response before deadline".into());
-                    r.fingerprint = fingerprint;
-                    r.elapsed_ms = received.elapsed().as_secs_f64() * 1000.0;
-                    r
-                }
-            }
-        }
-    }
-}
-
-/// Non-blocking admission shared by both front ends: probes answer on
-/// the spot, solves/answers either answer immediately (cache hit, parse
-/// error, drain refusal, backpressure rejection) or enter the bounded
-/// work queue with their reply routed to `sink`.
+/// Non-blocking admission on the event loop: probes answer on the spot,
+/// solves/answers either answer immediately (cache hit, parse error,
+/// drain refusal, backpressure rejection) or enter the bounded work
+/// queue with their reply routed to `sink`.
 pub(crate) fn admit_request(inner: &Arc<Inner>, req: Request, sink: ReplySink) -> Admission {
     match admit_request_inner(inner, req, sink) {
         Admission::Ready(mut r) => {
@@ -1648,7 +1507,7 @@ fn admit_request_inner(inner: &Arc<Inner>, req: Request, sink: ReplySink) -> Adm
 /// Admission path of a peer's `put_cert` push: the oracle re-proof is
 /// real work (a full `htd check` of the claimed decomposition), so it
 /// rides the bounded queue like any other job instead of stalling the
-/// connection thread or event loop.
+/// event loop.
 fn admit_put_cert(
     inner: &Arc<Inner>,
     id: Option<String>,
@@ -1856,11 +1715,11 @@ fn admit_solve(
     }
 }
 
-/// Admission path of an `answer` request: parse the query on the
-/// connection thread (cheap, and a parse error must not occupy a
-/// worker), then queue the evaluation under the same backpressure and
-/// deadline rules as a solve. Unlike the solve result cache, the shape
-/// cache cannot answer from the connection thread — a shape hit only
+/// Admission path of an `answer` request: parse the query on the event
+/// loop (cheap, and a parse error must not occupy a worker), then queue
+/// the evaluation under the same backpressure and deadline rules as a
+/// solve. Unlike the solve result cache, the shape cache cannot answer
+/// on the event loop — a shape hit only
 /// skips the decomposition, the semijoin passes still run against this
 /// request's own relations — so the lookup happens inside the pipeline
 /// on the worker.
@@ -1976,30 +1835,8 @@ fn admit_answer(
     }
 }
 
-fn serve_http(
-    inner: &Arc<Inner>,
-    request_line: &str,
-    reader: &mut BufReader<TcpStream>,
-    writer: &mut TcpStream,
-) -> std::io::Result<()> {
-    // drain the header block (per-line bounded: probe headers are tiny,
-    // and an adversarial endless header must not buffer unboundedly)
-    let mut hdr = String::new();
-    loop {
-        hdr.clear();
-        if std::io::Read::take(&mut *reader, 64 << 10).read_line(&mut hdr)? == 0
-            || hdr.trim().is_empty()
-        {
-            break;
-        }
-    }
-    writer.write_all(&http_response_bytes(inner, request_line))?;
-    writer.flush()
-}
-
 /// Renders a full HTTP probe response (status line + headers + body) for
-/// `/healthz`, `/metrics` and friends. Shared by the blocking path and
-/// the event loop.
+/// `/healthz`, `/metrics` and friends.
 pub(crate) fn http_response_bytes(inner: &Inner, request_line: &str) -> Vec<u8> {
     inner.metrics.http_requests.fetch_add(1, Ordering::Relaxed);
     let path = request_line.split_whitespace().nth(1).unwrap_or("/");

@@ -302,32 +302,6 @@ impl CertStore {
     }
 }
 
-impl CertStore {
-    /// Releases the advisory single-writer lock without closing the
-    /// store. Called by server teardown (`wait`/`kill`) after the
-    /// worker pool — the only appender — has been joined, so a reopen
-    /// in the same process succeeds even while detached connection
-    /// threads still hold a reference to the old store for a moment.
-    /// The kernel would release the lock on drop anyway; this just
-    /// makes the release deterministic.
-    pub(crate) fn unlock(&self) {
-        unlock_file(&self.file.lock());
-    }
-}
-
-#[cfg(unix)]
-fn unlock_file(file: &File) {
-    use std::os::unix::io::AsRawFd;
-    extern "C" {
-        fn flock(fd: i32, operation: i32) -> i32;
-    }
-    const LOCK_UN: i32 = 8;
-    unsafe { flock(file.as_raw_fd(), LOCK_UN) };
-}
-
-#[cfg(not(unix))]
-fn unlock_file(_file: &File) {}
-
 /// Takes the advisory exclusive lock that makes the log single-writer.
 /// `LOCK_EX | LOCK_NB`: a second opener gets an immediate structured
 /// error instead of blocking behind (and then corrupting) the first.

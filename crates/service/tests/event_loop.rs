@@ -3,11 +3,12 @@
 //! with per-connection state machines and pipelined batches.
 //!
 //! Unix-only by construction — the readiness loop is built on poll(2);
-//! on other platforms the server falls back to the blocking front end.
+//! on other platforms `Server::start` fails with `Unsupported`.
 #![cfg(unix)]
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use htd_core::Json;
@@ -32,7 +33,6 @@ fn loop_opts() -> ServeOptions {
         default_deadline_ms: 10_000,
         log: false,
         verify_responses: false,
-        event_loop: true,
         ..ServeOptions::default()
     }
 }
@@ -338,4 +338,109 @@ fn graceful_drain_answers_inflight_batch() {
     let mut line = String::new();
     assert_eq!(reader.read_line(&mut line).unwrap_or(0), 0);
     server.wait();
+}
+
+/// One connection pipelines 2 MiB of pings while a second connection
+/// keeps pinging. The loop reads one bounded chunk per connection per
+/// turn and splits frames in linear time, so the batch is answered in
+/// full and the other connection is never starved behind it.
+#[test]
+fn pipelined_flood_does_not_starve_other_connections() {
+    let (server, addr) = start(loop_opts());
+    let frame = b"{\"cmd\":\"ping\"}\n";
+    let frames = (2 << 20) / frame.len();
+
+    let flood = TcpStream::connect(&addr).unwrap();
+    flood
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut writer = flood.try_clone().unwrap();
+    let sender = std::thread::spawn(move || writer.write_all(&frame.repeat(frames)).unwrap());
+    let reader = std::thread::spawn(move || {
+        let mut reader = BufReader::new(flood);
+        let mut line = String::new();
+        for i in 0..frames {
+            line.clear();
+            reader
+                .read_line(&mut line)
+                .unwrap_or_else(|e| panic!("pong {i} of {frames} not received: {e}"));
+            assert!(line.contains("\"pong\""), "reply {i}: {line:?}");
+        }
+    });
+
+    let mut probe = Client::connect(&addr).unwrap();
+    let mut probes = 0;
+    let mut slowest = Duration::ZERO;
+    loop {
+        let t = Instant::now();
+        probe.ping().unwrap();
+        slowest = slowest.max(t.elapsed());
+        probes += 1;
+        if reader.is_finished() {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    sender.join().unwrap();
+    reader.join().unwrap();
+    assert!(
+        slowest < Duration::from_millis(500),
+        "a ping waited {slowest:?} behind the pipelined batch ({probes} probes)"
+    );
+
+    probe.shutdown().unwrap();
+    server.wait();
+}
+
+/// A client that pipelines pings and never reads the replies must stall
+/// on its own socket: the loop stops reading a connection whose
+/// unflushed replies pass a fixed bound. Other connections are still
+/// served, and the drain completes promptly once the flooder is gone.
+#[test]
+fn unread_replies_stall_the_writer_without_wedging_the_server() {
+    let (server, addr) = start(loop_opts());
+    let chunk = b"{\"cmd\":\"ping\"}\n".repeat((1 << 20) / 15);
+    let mut flood = TcpStream::connect(&addr).unwrap();
+    flood
+        .set_write_timeout(Some(Duration::from_secs(3)))
+        .unwrap();
+    let mut accepted = 0usize;
+    let mut stalled = false;
+    'flood: while accepted < 256 << 20 {
+        let mut rest = &chunk[..];
+        while !rest.is_empty() {
+            match flood.write(rest) {
+                Ok(0) | Err(_) => {
+                    stalled = true;
+                    break 'flood;
+                }
+                Ok(n) => {
+                    accepted += n;
+                    rest = &rest[n..];
+                }
+            }
+        }
+    }
+    assert!(
+        stalled && accepted < 64 << 20,
+        "{accepted} bytes of unread pings accepted (stalled: {stalled})"
+    );
+
+    let mut probe = Client::connect(&addr).unwrap();
+    probe.set_read_timeout(Some(Duration::from_secs(5)));
+    probe.ping().unwrap();
+    drop(probe);
+
+    drop(flood);
+    server.request_shutdown();
+    // wait() runs on a helper thread so a wedged drain fails the test
+    // instead of hanging it
+    let (tx, rx) = mpsc::channel();
+    let waiter = std::thread::spawn(move || {
+        server.wait();
+        let _ = tx.send(());
+    });
+    rx.recv_timeout(Duration::from_secs(5))
+        .expect("wait() must return within 5 s of the flooder disconnecting");
+    waiter.join().unwrap();
 }

@@ -322,3 +322,43 @@ fn seeded_corpus_round_trips_without_fingerprint_collisions() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A store directory reopens in the same process as soon as `kill()` or
+/// `wait()` returns, even while a client still holds a connection to
+/// the old server: both join every server thread, so the old store and
+/// its single-writer lock are already dropped.
+#[test]
+fn store_reopens_in_process_while_a_client_is_still_connected() {
+    let dir = tmp_dir("reopen");
+    let opts = || ServeOptions {
+        addr: "127.0.0.1:0".into(),
+        log: false,
+        store_dir: Some(dir.clone()),
+        ..ServeOptions::default()
+    };
+    let grid = io::write_pace_gr(&gen::grid_graph(4, 4));
+
+    let server = Server::start(opts()).unwrap();
+    let mut killed_client = Client::connect(&server.addr().to_string()).unwrap();
+    let r = killed_client
+        .solve(Objective::Treewidth, InstanceFormat::Auto, &grid, None)
+        .unwrap();
+    assert_eq!(r.status, Status::Ok, "{:?}", r.error);
+    server.kill();
+
+    let server = Server::start(opts()).expect("reopen after kill() with a client connected");
+    let mut drained_client = Client::connect(&server.addr().to_string()).unwrap();
+    let r = drained_client
+        .solve(Objective::Treewidth, InstanceFormat::Auto, &grid, None)
+        .unwrap();
+    assert_eq!(r.status, Status::Ok, "{:?}", r.error);
+    assert!(r.cached, "the reopened store warms the cache");
+    server.request_shutdown();
+    server.wait();
+
+    let server = Server::start(opts()).expect("reopen after wait() with a client connected");
+    server.request_shutdown();
+    server.wait();
+    drop((killed_client, drained_client));
+    let _ = std::fs::remove_dir_all(&dir);
+}
