@@ -12,11 +12,14 @@
 //!   flush as `POLLOUT` allows), and the in-flight request count.
 //! * **Bounded client input**: each readiness event reads at most
 //!   `READ_CHUNK` bytes from a connection and never past the frame
-//!   cap, so a no-newline flood is cut off at the cap and a pipelined
-//!   flood costs every other connection at most one chunk of work per
-//!   turn. A connection whose unflushed replies exceed
-//!   `MAX_UNFLUSHED` is not read from until its client catches up:
-//!   a client that writes without reading stalls on its own socket.
+//!   cap, so a no-newline flood is cut off at the cap. The loop only
+//!   splits frames and parses request envelopes, both linear in the
+//!   bytes read; instance and query parsing, canonicalization and cache
+//!   lookups run on the server's intake threads. A pipelined flood costs
+//!   every other connection at most one chunk's framing per turn. A
+//!   connection whose unflushed replies exceed `MAX_UNFLUSHED` is not
+//!   read from until its client catches up: a client that writes
+//!   without reading stalls on its own socket.
 //! * **Pipelined batch mode**: a client may write many newline-JSON
 //!   requests without waiting; each is admitted independently into the
 //!   worker-pool/queue/watchdog/backpressure machinery
@@ -92,8 +95,7 @@ mod imp {
 
     use crate::protocol::{Request, Response, Status};
     use crate::server::{
-        admit_request, http_response_bytes, response_line, Admission, Inner, ReplySink, MAX_FRAME,
-        REPLY_GRACE,
+        admit_request, http_response_bytes, response_line, Admission, Inner, ReplySink, REPLY_GRACE,
     };
 
     const POLLIN: i16 = 0x001;
@@ -118,6 +120,11 @@ mod imp {
         fn poll(fds: *mut PollFd, nfds: Nfds, timeout: i32) -> i32;
     }
 
+    /// Largest accepted request frame. A line still unfinished at this
+    /// many bytes gets a structured protocol error instead of buffering
+    /// without bound, and the connection is closed (the remainder of the
+    /// oversized frame is never read).
+    const MAX_FRAME: usize = 8 << 20;
     /// Bound on buffered HTTP probe headers; a probe that sends more is
     /// not a probe.
     const MAX_HTTP_HEADER: usize = 64 << 10;
@@ -194,7 +201,7 @@ mod imp {
             if self.http.is_some() {
                 MAX_HTTP_HEADER
             } else {
-                MAX_FRAME as usize
+                MAX_FRAME
             }
         }
 
@@ -272,6 +279,7 @@ mod imp {
         let mut scratch = vec![0u8; READ_CHUNK];
         let mut conns: HashMap<u64, Conn> = HashMap::new();
         let mut pending: HashMap<(u64, u64), Pending> = HashMap::new();
+        let mut next_conn: u64 = 0;
         let reg = htd_trace::registry();
 
         loop {
@@ -348,7 +356,8 @@ mod imp {
                                 continue;
                             }
                             let _ = stream.set_nodelay(true);
-                            let id = inner.conn_seq.fetch_add(1, Ordering::Relaxed);
+                            let id = next_conn;
+                            next_conn += 1;
                             conns.insert(
                                 id,
                                 Conn {

@@ -137,7 +137,7 @@ pub struct Metrics {
     pub cache_hits: AtomicU64,
     /// Cache misses.
     pub cache_misses: AtomicU64,
-    /// Requests currently waiting in the work queue.
+    /// Requests currently waiting in the intake or the work queue.
     pub queue_depth: AtomicI64,
     /// Solves currently running on workers.
     pub inflight: AtomicI64,
@@ -327,7 +327,7 @@ impl Metrics {
         g(
             &mut o,
             "htd_queue_depth",
-            "Requests waiting in the work queue.",
+            "Requests waiting in the intake or the work queue.",
             self.queue_depth.load(Ordering::Relaxed) as f64,
         );
         g(

@@ -3,49 +3,55 @@
 //!
 //! ## Lifecycle of a solve request
 //!
-//! 1. The event loop ([`crate::event_loop`]) parses the line, builds the
-//!    [`Problem`] and the canonical form of the (normalized) instance.
-//! 2. Cache lookup — a hit answers immediately without queueing.
-//! 3. The job enters the bounded work queue; a full queue means an
-//!    immediate `rejected` response with `retry_after_ms` (backpressure)
-//!    rather than unbounded buffering.
+//! 1. The event loop ([`crate::event_loop`]) splits the line and parses
+//!    the request envelope — nothing more, so no request's cost stalls
+//!    the loop — and enters the request into the bounded intake queue.
+//! 2. An intake thread builds the [`Problem`] and the canonical form of
+//!    the (normalized) instance and looks it up in the result cache; a
+//!    hit answers here, without waiting for a worker.
+//! 3. Otherwise the job enters the bounded work queue. A full queue, at
+//!    either stage, means an immediate `rejected` response with
+//!    `retry_after_ms` (backpressure) rather than unbounded buffering.
 //! 4. A worker pops the job. If its deadline already expired in the queue
 //!    the job is dropped with a `timeout` response (cooperative
-//!    cancellation of evicted requests); otherwise the remaining time is
-//!    mapped onto the solver's [`SearchConfig`] budget and a shared
-//!    [`Incumbent`] is registered with the deadline watchdog, which
-//!    cancels it the moment the deadline passes — so a cold solve never
-//!    overshoots its deadline by more than the engines' cancellation
-//!    granularity (a few milliseconds).
-//! 5. The result is admitted to the cache and the response handed back
+//!    cancellation of evicted requests). In a cluster, a key owned
+//!    elsewhere is relayed to its owners.
+//! 5. Otherwise the remaining time is mapped onto the solver's
+//!    [`SearchConfig`] budget and a shared [`Incumbent`] is registered
+//!    with the deadline watchdog, which cancels it the moment the
+//!    deadline passes — so a cold solve never overshoots its deadline by
+//!    more than the engines' cancellation granularity (a few
+//!    milliseconds).
+//! 6. The result is admitted to the cache and the response handed back
 //!    to the event loop, which writes it on the requesting connection.
 //!
-//! `answer` (conjunctive-query) requests ride the same queue, deadline
-//! watchdog and backpressure: the event loop parses the query,
-//! a worker runs the `htd-query` pipeline, and a per-server
-//! [`ShapeCache`] lets repeated query *shapes* skip decomposition while
-//! every answer is still evaluated against its own relations.
+//! `answer` (conjunctive-query) requests ride the same queues, deadline
+//! watchdog and backpressure: an intake thread parses the query, a
+//! worker runs the `htd-query` pipeline, and a per-server [`ShapeCache`]
+//! lets repeated query *shapes* skip decomposition while every answer is
+//! still evaluated against its own relations.
 //!
 //! ## Graceful shutdown
 //!
 //! `shutdown` (or SIGINT/SIGTERM under [`run_until_shutdown`]) flips the
-//! server into *draining*: new solve requests are refused with
-//! `shutting_down`, queued and in-flight work runs to completion, probes
-//! (`/healthz`, `/metrics`, `ping`, `stats`) keep answering, and once the
-//! queue is empty and no solve is in flight the workers, watchdog and
-//! event loop exit and a final metrics summary is flushed to the log.
+//! server into *draining*: new solve and answer requests are refused
+//! with `shutting_down`, queued and in-flight work runs to completion,
+//! probes (`/healthz`, `/metrics`, `ping`, `stats`) keep answering, and
+//! once both queues are empty and no request is in flight the intake
+//! threads, workers, watchdog and event loop exit and a final metrics
+//! summary is flushed to the log.
 
 use std::collections::VecDeque;
 use std::net::TcpListener;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use htd_core::{HtdError, Json};
-use htd_hypergraph::canonical::canonical_form;
-use htd_query::{parse_query, AnswerMode, AnswerOptions, FileAccess, Query, ShapeCache};
+use htd_hypergraph::canonical::{canonical_form, CanonicalForm};
+use htd_query::{parse_query, AnswerOptions, FileAccess, Query, ShapeCache};
 use htd_resilience::{
     quarantined, CircuitBreaker, Fault, FaultInjector, FaultPlan, InjectedFaults, MemoryBudget,
 };
@@ -58,8 +64,7 @@ use crate::cluster::{Cluster, ClusterConfig};
 use crate::event_loop::{Completions, EventLoop};
 use crate::metrics::Metrics;
 use crate::protocol::{
-    parse_problem, AnswerRequest, CertPush, Command, InstanceFormat, Request, Response,
-    SolveRequest, Status,
+    parse_problem, AnswerRequest, CertPush, Command, Request, Response, SolveRequest, Status,
 };
 use crate::store::{CertStore, StoreRecord};
 
@@ -70,11 +75,6 @@ const DEADLINE_SLACK: Duration = Duration::from_millis(10);
 const WATCHDOG_PERIOD: Duration = Duration::from_millis(2);
 /// Extra time the event loop waits for a worker beyond the deadline.
 pub(crate) const REPLY_GRACE: Duration = Duration::from_secs(2);
-/// Largest accepted request frame. A line still unfinished at this many
-/// bytes gets a structured protocol error instead of buffering without
-/// bound, and the connection is closed (the remainder of the oversized
-/// frame is never read).
-pub(crate) const MAX_FRAME: u64 = 8 << 20;
 /// Largest serialized response written back on a connection; anything
 /// bigger is replaced by a structured internal error.
 pub(crate) const MAX_RESPONSE: usize = 32 << 20;
@@ -91,7 +91,8 @@ const DEFAULT_ANSWER_LIMIT: u64 = 100_000;
 pub struct ServeOptions {
     /// Listen address, e.g. `127.0.0.1:7878` (port 0 picks a free port).
     pub addr: String,
-    /// Worker threads solving requests.
+    /// Worker threads solving requests; as many intake threads parse
+    /// and canonicalize them and answer result-cache hits.
     pub threads: usize,
     /// Result-cache capacity in mebibytes.
     pub cache_mb: usize,
@@ -176,11 +177,11 @@ impl ReplySink {
 /// What admission decided about a request, before any worker ran.
 // `Ready` dwarfs `Queued`, but an `Admission` lives only for the few
 // instructions between `admit_request` and the caller's `match`; boxing
-// would put an allocation on the cache-hit fast path for nothing.
+// would put an allocation on the probe fast path for nothing.
 #[allow(clippy::large_enum_variant)]
 pub(crate) enum Admission {
-    /// Answered on the spot: probe, cache hit, parse error, backpressure
-    /// rejection, or drain refusal.
+    /// Answered on the spot: probe, backpressure rejection, or drain
+    /// refusal.
     Ready(Response),
     /// Queued for a worker; the response will arrive on the job's
     /// [`ReplySink`] no later than `deadline + REPLY_GRACE`.
@@ -192,90 +193,120 @@ pub(crate) enum Admission {
     },
 }
 
-/// A unit of queued work: a decomposition solve or a conjunctive-query
-/// answer. Both share the bounded queue, the deadline watchdog and the
-/// backpressure machinery.
-struct Job {
+/// A request between admission and its response: its payload `W` plus
+/// the bookkeeping every stage shares. Solves and answers pass through
+/// two bounded queues — intake ([`Intake`]), then work ([`Work`]) — and
+/// share the deadline watchdog and the backpressure machinery.
+struct Job<W> {
     id: Option<String>,
-    work: Work,
+    work: W,
     deadline: Instant,
     deadline_ms: u64,
     threads: usize,
     engines: Option<Vec<Engine>>,
     received: Instant,
-    /// When the job entered the work queue; the pop-to-push delta is the
-    /// queue-wait component of the latency split.
+    /// When the job entered its current queue; the work queue's
+    /// pop-to-push delta is the queue-wait component of the latency split.
     enqueued: Instant,
     reply: ReplySink,
 }
 
-/// What a queued job actually computes.
+impl<W> Job<W> {
+    fn new(
+        id: Option<String>,
+        work: W,
+        deadline_ms: u64,
+        threads: usize,
+        engines: Option<Vec<Engine>>,
+        reply: ReplySink,
+    ) -> Job<W> {
+        let received = Instant::now();
+        Job {
+            id,
+            work,
+            deadline: received + Duration::from_millis(deadline_ms),
+            deadline_ms,
+            threads,
+            engines,
+            received,
+            enqueued: received,
+            reply,
+        }
+    }
+
+    /// Swaps the payload, keeping the bookkeeping and restarting the
+    /// queue clock: returns the old payload and the job carrying `work`.
+    fn replace_work<V>(self, work: V) -> (W, Job<V>) {
+        let job = Job {
+            id: self.id,
+            work,
+            deadline: self.deadline,
+            deadline_ms: self.deadline_ms,
+            threads: self.threads,
+            engines: self.engines,
+            received: self.received,
+            enqueued: Instant::now(),
+            reply: self.reply,
+        };
+        (self.work, job)
+    }
+}
+
+/// A request as received, waiting for an intake thread to parse it —
+/// and, for a solve, to canonicalize it and try the result cache. This
+/// runs on neither the event loop nor a worker: an expensive
+/// canonicalization never stalls other connections, and a cache hit
+/// never waits behind a running solve.
+enum Intake {
+    Solve(SolveRequest),
+    Answer(AnswerRequest),
+}
+
+/// Prepared work, waiting for a worker.
 enum Work {
     Solve(SolveWork),
     Answer(AnswerWork),
-    /// Cluster mode: the request belongs to another node's shard; try
-    /// the owners in order, fall back to computing locally.
-    Forward(ForwardWork),
     /// Cluster mode: a peer pushed a certificate; re-verify it with the
     /// oracle before admitting it to cache and store.
     PutCert(CertPush),
 }
 
-struct ForwardWork {
-    /// The command re-sent to the owner, its `forwarded` flag set so the
-    /// receiver always computes locally (one hop, no forwarding loops).
-    cmd: Command,
-    /// Owner candidates in preference order (`(id, addr)`; ring order,
-    /// alive before suspect, down/leaving excluded).
-    candidates: Vec<(String, String)>,
-    /// The local fallback when every owner is unusable.
-    local: Box<Work>,
-}
-
+/// A parsed and canonicalized solve request, ready for the search.
 struct SolveWork {
+    req: SolveRequest,
     problem: Problem,
-    fingerprint: u64,
+    canon: CanonicalForm,
     fingerprint_hex: String,
-    canonical: Vec<u8>,
-    canonical_complete: bool,
-    objective_name: &'static str,
-    budget: Option<u64>,
-    /// The original instance text + format, kept so a cacheable outcome
-    /// can be appended to the certificate store (whose loader re-parses
-    /// the instance to re-verify the certificate from scratch). Empty
-    /// when no store is configured.
-    instance: String,
-    format: InstanceFormat,
 }
 
+/// A parsed answer request, ready for the pipeline.
 struct AnswerWork {
+    req: AnswerRequest,
     query: Query,
-    mode: AnswerMode,
-    limit: Option<u64>,
-    use_shape_cache: bool,
-    /// Microseconds the event loop spent parsing the query,
-    /// forwarded into the pipeline's `parse` stage event.
+    /// Microseconds spent parsing the query, forwarded into the
+    /// pipeline's `parse` stage event.
     parse_us: u64,
+    /// Cluster mode: the shape's routing key, when the request may be
+    /// forwarded (it was not forwarded to this node already).
+    route_key: Option<u64>,
 }
 
 impl Work {
     /// Short label for log lines (the solve objective, or `answer`).
     fn label(&self) -> &'static str {
         match self {
-            Work::Solve(w) => w.objective_name,
+            Work::Solve(w) => w.req.objective.name(),
             Work::Answer(_) => "answer",
-            Work::Forward(_) => "forward",
             Work::PutCert(_) => "put_cert",
         }
     }
 
-    /// The instance fingerprint when already known: solves canonicalize
-    /// on admission, answers learn theirs from the pipeline afterwards.
+    /// The instance fingerprint when known: solves canonicalize on
+    /// intake, answers learn theirs from the pipeline afterwards.
     fn fingerprint_hex(&self) -> Option<&str> {
         match self {
             Work::Solve(w) => Some(&w.fingerprint_hex),
             Work::Answer(_) => None,
-            Work::Forward(f) => f.local.fingerprint_hex(),
             Work::PutCert(p) => Some(&p.fingerprint_hex),
         }
     }
@@ -283,14 +314,14 @@ impl Work {
 
 /// Bounded MPMC queue on std `Mutex` + `Condvar` (the vendored
 /// `parking_lot` has no condvar).
-struct WorkQueue {
-    jobs: StdMutex<VecDeque<Job>>,
+struct WorkQueue<T> {
+    jobs: StdMutex<VecDeque<T>>,
     ready: Condvar,
     capacity: usize,
 }
 
-impl WorkQueue {
-    fn new(capacity: usize) -> WorkQueue {
+impl<T> WorkQueue<T> {
+    fn new(capacity: usize) -> WorkQueue<T> {
         WorkQueue {
             jobs: StdMutex::new(VecDeque::new()),
             ready: Condvar::new(),
@@ -298,24 +329,24 @@ impl WorkQueue {
         }
     }
 
-    /// Enqueues unless full; never blocks the submitting connection.
-    /// Returns `false` (dropping the job) when the queue is at capacity.
+    /// Enqueues unless full; never blocks the submitter. Hands the job
+    /// back when the queue is at capacity.
     /// A poisoned mutex (a thread panicked while holding it) is recovered
-    /// rather than propagated: the queue of `Job`s has no invariant a
+    /// rather than propagated: the queue has no invariant a
     /// half-finished critical section can break, and one panicked worker
     /// must not take the whole intake path down with it.
-    fn try_push(&self, job: Job) -> bool {
+    fn try_push(&self, job: T) -> Result<(), T> {
         let mut q = self.jobs.lock().unwrap_or_else(|p| p.into_inner());
         if q.len() >= self.capacity {
-            return false;
+            return Err(job);
         }
         q.push_back(job);
         drop(q);
         self.ready.notify_one();
-        true
+        Ok(())
     }
 
-    fn pop_timeout(&self, timeout: Duration) -> Option<Job> {
+    fn pop_timeout(&self, timeout: Duration) -> Option<T> {
         let mut q = self.jobs.lock().unwrap_or_else(|p| p.into_inner());
         if q.is_empty() {
             q = match self.ready.wait_timeout(q, timeout) {
@@ -346,7 +377,12 @@ pub(crate) struct Inner {
     /// own data.
     shapes: Arc<ShapeCache>,
     pub(crate) metrics: Arc<Metrics>,
-    queue: WorkQueue,
+    /// Received solves and answers, awaiting an intake thread.
+    intake: WorkQueue<Job<Intake>>,
+    /// Requests an intake thread has popped and not yet handed on.
+    preparing: AtomicUsize,
+    /// Prepared work, awaiting a worker.
+    queue: WorkQueue<Job<Work>>,
     /// Draining: refuse new solves, finish queued + in-flight work.
     draining: AtomicBool,
     /// Final stop: workers/watchdog/event loop exit.
@@ -359,7 +395,6 @@ pub(crate) struct Inner {
     pub(crate) cluster: Option<Arc<Cluster>>,
     /// In-flight deadline registry scanned by the watchdog.
     registry: Mutex<Vec<(Instant, Arc<Incumbent>)>>,
-    pub(crate) conn_seq: AtomicU64,
     /// Seeded fault injector (`opts.chaos`); `None` in production.
     injector: Option<Arc<FaultInjector>>,
     /// One circuit breaker per portfolio engine: engines whose reports
@@ -444,6 +479,36 @@ impl Inner {
             .set(open as i64);
     }
 
+    /// Enters `job` into `queue`. When the queue is full, returns a
+    /// response rejecting the job, with a retry hint of half the median
+    /// solve (so retries spread out), floor 10 ms, and its reply sink.
+    fn enqueue<W>(
+        &self,
+        queue: &WorkQueue<Job<W>>,
+        job: Job<W>,
+        label: &str,
+        fingerprint: Option<String>,
+    ) -> Option<(Response, ReplySink)> {
+        self.metrics.queue_depth.fetch_add(1, Ordering::SeqCst);
+        let job = queue.try_push(job).err()?;
+        self.metrics.queue_depth.fetch_sub(1, Ordering::SeqCst);
+        self.metrics
+            .rejected_responses
+            .fetch_add(1, Ordering::Relaxed);
+        let p50 = self.metrics.solve_latency.quantile(0.5);
+        let mut r = Response::new(job.id.clone(), Status::Rejected);
+        r.error = Some("work queue full".into());
+        r.retry_after_ms = Some(((p50 / 2.0) as u64).clamp(10, 1000));
+        r.fingerprint = fingerprint;
+        r.elapsed_ms = job.received.elapsed().as_secs_f64() * 1000.0;
+        self.log(format_args!(
+            "req={} obj={label} status=rejected retry_after_ms={}",
+            job.id.as_deref().unwrap_or("-"),
+            r.retry_after_ms.unwrap_or(0)
+        ));
+        Some((r, job.reply))
+    }
+
     pub(crate) fn log(&self, line: std::fmt::Arguments<'_>) {
         if self.opts.log {
             eprintln!("[htd-service +{}ms] {line}", self.metrics.uptime_ms());
@@ -475,8 +540,9 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds the listener and starts the event loop, watchdog and
-    /// workers. Fails with `Unsupported` on targets without `poll(2)`.
+    /// Binds the listener and starts the event loop, watchdog, intake
+    /// threads and workers. Fails with `Unsupported` on targets without
+    /// `poll(2)`.
     pub fn start(opts: ServeOptions) -> std::io::Result<Server> {
         let listener = if opts.reuse_addr {
             bind_reusable(&opts.addr)?
@@ -529,13 +595,14 @@ impl Server {
             cache,
             shapes: Arc::new(ShapeCache::new(SHAPE_CACHE_CAPACITY)),
             metrics,
+            intake: WorkQueue::new(opts.queue_capacity),
+            preparing: AtomicUsize::new(0),
             queue: WorkQueue::new(opts.queue_capacity),
             draining: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
             killed: AtomicBool::new(false),
             cluster,
             registry: Mutex::new(Vec::new()),
-            conn_seq: AtomicU64::new(0),
             injector,
             breakers,
             store,
@@ -606,19 +673,35 @@ impl Server {
         // per-stage spans feed the htd_span_seconds{span=...} histograms
         // on /metrics at bounded (counter-batch-like) cost
         htd_trace::set_spans_enabled(true);
-        let workers = (0..threads)
-            .map(|w| {
+        // one intake thread (parse, canonicalize, try the cache) and one
+        // worker (search, evaluate) per configured thread
+        let mut workers = Vec::with_capacity(2 * threads);
+        for w in 0..threads {
+            for (label, name, body) in [
+                (
+                    format!("svc-{w}"),
+                    format!("htd-worker-{w}"),
+                    worker_loop as fn(&Inner),
+                ),
+                (
+                    format!("intake-{w}"),
+                    format!("htd-intake-{w}"),
+                    intake_loop,
+                ),
+            ] {
                 let inner = Arc::clone(&inner);
-                let label: &'static str = Box::leak(format!("svc-{w}").into_boxed_str());
-                thread::Builder::new()
-                    .name(format!("htd-worker-{w}"))
-                    .spawn(move || {
-                        htd_trace::set_worker(label);
-                        worker_loop(&inner)
-                    })
-                    .expect("spawn worker")
-            })
-            .collect();
+                let label: &'static str = Box::leak(label.into_boxed_str());
+                workers.push(
+                    thread::Builder::new()
+                        .name(name)
+                        .spawn(move || {
+                            htd_trace::set_worker(label);
+                            body(&inner)
+                        })
+                        .expect("spawn worker"),
+                );
+            }
+        }
         let watchdog = {
             let inner = Arc::clone(&inner);
             thread::Builder::new()
@@ -701,7 +784,10 @@ impl Server {
     /// thread and flushes a final metrics summary to the log.
     pub fn wait(mut self) {
         loop {
+            // in the order a request moves, so none slips past unseen
             if self.inner.draining()
+                && self.inner.intake.len() == 0
+                && self.inner.preparing.load(Ordering::SeqCst) == 0
                 && self.inner.queue.len() == 0
                 && self.inner.metrics.inflight.load(Ordering::SeqCst) == 0
             {
@@ -710,6 +796,7 @@ impl Server {
             thread::sleep(Duration::from_millis(10));
         }
         self.inner.shutdown.store(true, Ordering::SeqCst);
+        self.inner.intake.wake_all();
         self.inner.queue.wake_all();
         for w in self.workers.drain(..) {
             let _ = w.join();
@@ -752,6 +839,7 @@ impl Server {
         for (_, incumbent) in self.inner.registry.lock().iter() {
             incumbent.cancel();
         }
+        self.inner.intake.wake_all();
         self.inner.queue.wake_all();
         for w in self.workers.drain(..) {
             let _ = w.join();
@@ -937,7 +1025,7 @@ fn worker_loop(inner: &Inner) {
             let mut r = Response::new(job.id.clone(), Status::Timeout);
             inner.stamp(&mut r);
             r.fingerprint = job.work.fingerprint_hex().map(str::to_string);
-            r.canonical = matches!(&job.work, Work::Solve(w) if w.canonical_complete);
+            r.canonical = matches!(&job.work, Work::Solve(w) if w.canon.complete);
             r.error = Some("deadline expired in queue".into());
             r.elapsed_ms = job.received.elapsed().as_secs_f64() * 1000.0;
             inner.log(format_args!(
@@ -971,15 +1059,31 @@ fn worker_loop(inner: &Inner) {
         let mut r = match &job.work {
             Work::Solve(w) => {
                 let _sp = htd_trace::span!("service.solve");
-                run_solve(inner, &job, w, &incumbent, &fault, queued)
+                // a forwarded request always computes where it lands:
+                // one hop, no forwarding loops
+                let relayed = if w.req.forwarded {
+                    None
+                } else {
+                    forward(inner, &job, w.canon.fingerprint, || {
+                        Command::Solve(SolveRequest {
+                            forwarded: true,
+                            ..w.req.clone()
+                        })
+                    })
+                };
+                relayed.unwrap_or_else(|| run_solve(inner, &job, w, &incumbent, &fault, queued))
             }
             Work::Answer(w) => {
                 let _sp = htd_trace::span!("service.answer");
-                run_answer(inner, &job, w, &incumbent, &fault, queued)
-            }
-            Work::Forward(f) => {
-                let _sp = htd_trace::span!("cluster.forward");
-                run_forward(inner, &job, f, &incumbent, &fault, queued)
+                let relayed = w.route_key.and_then(|key| {
+                    forward(inner, &job, key, || {
+                        Command::Answer(AnswerRequest {
+                            forwarded: true,
+                            ..w.req.clone()
+                        })
+                    })
+                });
+                relayed.unwrap_or_else(|| run_answer(inner, &job, w, &incumbent, &fault, queued))
             }
             Work::PutCert(p) => {
                 let _sp = htd_trace::span!("cluster.put_cert");
@@ -1001,18 +1105,158 @@ fn worker_loop(inner: &Inner) {
     }
 }
 
+/// Prepares received solves and answers for the workers: parse, and
+/// for a solve canonicalize and try the result cache. A hit or a parse
+/// error is answered here; anything else moves on to the work queue.
+fn intake_loop(inner: &Inner) {
+    loop {
+        if inner.shutdown.load(Ordering::SeqCst)
+            && (inner.killed.load(Ordering::SeqCst) || inner.intake.len() == 0)
+        {
+            return;
+        }
+        let Some(job) = inner.intake.pop_timeout(Duration::from_millis(50)) else {
+            continue;
+        };
+        inner.preparing.fetch_add(1, Ordering::SeqCst);
+        inner.metrics.queue_depth.fetch_sub(1, Ordering::SeqCst);
+        let (received, job) = job.replace_work(());
+        let prepared = match received {
+            Intake::Solve(s) => prepare_solve(inner, &job, s).map(Work::Solve),
+            Intake::Answer(a) => prepare_answer(inner, &job, a).map(Work::Answer),
+        };
+        let answered_here = match prepared {
+            Ok(work) => {
+                let label = work.label();
+                let fingerprint = work.fingerprint_hex().map(str::to_string);
+                inner.enqueue(&inner.queue, job.replace_work(work).1, label, fingerprint)
+            }
+            Err(r) => Some((*r, job.reply)),
+        };
+        if let Some((mut r, reply)) = answered_here {
+            inner.stamp(&mut r);
+            reply.send(r);
+        }
+        inner.preparing.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// Parses and canonicalizes a solve request. `Err` is the finished
+/// response: a parse error, or a result-cache hit.
+fn prepare_solve(
+    inner: &Inner,
+    job: &Job<()>,
+    s: SolveRequest,
+) -> Result<SolveWork, Box<Response>> {
+    let objective_name = s.objective.name();
+    let (problem, key_hypergraph) = match parse_problem(s.format, &s.instance, s.objective) {
+        Ok(pair) => pair,
+        Err(e) => {
+            inner
+                .metrics
+                .error_responses
+                .fetch_add(1, Ordering::Relaxed);
+            let mut r = Response::from_error(job.id.clone(), &e);
+            r.elapsed_ms = job.received.elapsed().as_secs_f64() * 1000.0;
+            inner.log(format_args!(
+                "req={} obj={objective_name} status=error err={:?}",
+                job.id.as_deref().unwrap_or("-"),
+                r.error.as_deref().unwrap_or("")
+            ));
+            return Err(Box::new(r));
+        }
+    };
+    let canon = canonical_form(&key_hypergraph);
+    let fingerprint_hex = canon.hex();
+    if s.use_cache {
+        if let Some(hit) = inner.cache.lookup(
+            canon.fingerprint,
+            &canon.bytes,
+            objective_name,
+            true,
+            Some(job.deadline_ms),
+        ) {
+            inner.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
+            inner.metrics.ok_responses.fetch_add(1, Ordering::Relaxed);
+            inner
+                .metrics
+                .record_served(hit.outcome.upper, hit.outcome.exact);
+            let mut r = Response::new(job.id.clone(), Status::Ok);
+            r.cached = true;
+            r.outcome = Some(hit.outcome);
+            r.fingerprint = Some(fingerprint_hex.clone());
+            r.canonical = canon.complete;
+            r.elapsed_ms = job.received.elapsed().as_secs_f64() * 1000.0;
+            inner.metrics.request_latency.observe(r.elapsed_ms);
+            inner.log(format_args!(
+                "req={} obj={objective_name} fp={fingerprint_hex} cache=hit status=ok width={} ms={:.2}",
+                job.id.as_deref().unwrap_or("-"),
+                r.outcome.as_ref().map_or(0, |o| o.upper),
+                r.elapsed_ms
+            ));
+            return Err(Box::new(r));
+        }
+    }
+    inner.metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
+    Ok(SolveWork {
+        req: s,
+        problem,
+        canon,
+        fingerprint_hex,
+    })
+}
+
+/// Parses an answer request's query — the service never reads relation
+/// files on behalf of a remote peer — and, in a cluster, derives its
+/// routing key: the canonical fingerprint of the query's hypergraph,
+/// the key the shape cache uses. `Err` is the parse-error response.
+fn prepare_answer(
+    inner: &Inner,
+    job: &Job<()>,
+    a: AnswerRequest,
+) -> Result<AnswerWork, Box<Response>> {
+    let parse_start = Instant::now();
+    let query = match parse_query(&a.query, &FileAccess::Deny) {
+        Ok(q) => q,
+        Err(e) => {
+            inner
+                .metrics
+                .error_responses
+                .fetch_add(1, Ordering::Relaxed);
+            let mut r = Response::from_error(job.id.clone(), &e);
+            r.elapsed_ms = job.received.elapsed().as_secs_f64() * 1000.0;
+            inner.log(format_args!(
+                "req={} obj=answer status=error err={:?}",
+                job.id.as_deref().unwrap_or("-"),
+                r.error.as_deref().unwrap_or("")
+            ));
+            return Err(Box::new(r));
+        }
+    };
+    let parse_us = parse_start.elapsed().as_micros() as u64;
+    let route_key = (inner.cluster.is_some() && !a.forwarded)
+        .then(|| canonical_form(&query.csp.hypergraph()).fingerprint);
+    Ok(AnswerWork {
+        req: a,
+        query,
+        parse_us,
+        route_key,
+    })
+}
+
 /// Runs one solve job on a worker: budget the remaining deadline into
 /// the search, quarantine the solve, verify/admit the outcome, respond.
 fn run_solve(
     inner: &Inner,
-    job: &Job,
+    job: &Job<Work>,
     w: &SolveWork,
     incumbent: &Arc<Incumbent>,
     fault: &Fault,
     queued: Duration,
 ) -> Response {
+    let objective_name = w.req.objective.name();
     let remaining = job.deadline.saturating_duration_since(Instant::now());
-    let mut cfg = match w.budget {
+    let mut cfg = match w.req.budget {
         Some(b) => SearchConfig::budgeted(b),
         None => SearchConfig::portfolio(),
     };
@@ -1092,7 +1336,7 @@ fn run_solve(
                     inner.log(format_args!(
                         "req={} obj={} fp={} ORACLE VIOLATION (response served, not cached): {}",
                         job.id.as_deref().unwrap_or("-"),
-                        w.objective_name,
+                        objective_name,
                         w.fingerprint_hex,
                         report
                     ));
@@ -1100,9 +1344,9 @@ fn run_solve(
             }
             if cacheable {
                 inner.cache.admit(
-                    w.fingerprint,
-                    &w.canonical,
-                    w.objective_name,
+                    w.canon.fingerprint,
+                    &w.canon.bytes,
+                    objective_name,
                     &outcome,
                     solve_ms.ceil() as u64,
                 );
@@ -1111,11 +1355,11 @@ fn run_solve(
                 // refuses anything the loader could not later re-verify
                 if let Some(store) = &inner.store {
                     let rec = StoreRecord {
-                        objective: w.objective_name,
-                        format: w.format,
-                        instance: w.instance.clone(),
-                        fingerprint: w.fingerprint,
-                        canonical: w.canonical.clone(),
+                        objective: objective_name,
+                        format: w.req.format,
+                        instance: w.req.instance.clone(),
+                        fingerprint: w.canon.fingerprint,
+                        canonical: w.canon.bytes.clone(),
                         effort_ms: solve_ms.ceil() as u64,
                         outcome: outcome.clone(),
                     };
@@ -1133,16 +1377,16 @@ fn run_solve(
                 // replication and the hinted handoff of a local-fallback
                 // solve — the owners are exactly the nodes that need it.
                 if let Some(cluster) = &inner.cluster {
-                    if !w.instance.is_empty()
-                        && w.objective_name != "hw"
+                    if !w.req.instance.is_empty()
+                        && objective_name != "hw"
                         && outcome.witness.is_some()
                     {
                         cluster.replicate(
-                            w.fingerprint,
+                            w.canon.fingerprint,
                             &CertPush {
                                 objective: outcome.objective,
-                                format: w.format,
-                                instance: w.instance.clone(),
+                                format: w.req.format,
+                                instance: w.req.instance.clone(),
                                 fingerprint_hex: w.fingerprint_hex.clone(),
                                 effort_ms: solve_ms.ceil() as u64,
                                 outcome: outcome.clone(),
@@ -1167,12 +1411,12 @@ fn run_solve(
         }
     };
     r.fingerprint = Some(w.fingerprint_hex.clone());
-    r.canonical = w.canonical_complete;
+    r.canonical = w.canon.complete;
     r.elapsed_ms = job.received.elapsed().as_secs_f64() * 1000.0;
     inner.log(format_args!(
         "req={} obj={} fp={} cache=miss status={} width={} exact={} winner={} queued_ms={:.2} solve_ms={:.1} total_ms={:.1} deadline_ms={}",
         job.id.as_deref().unwrap_or("-"),
-        w.objective_name,
+        objective_name,
         w.fingerprint_hex,
         r.status.name(),
         r.outcome.as_ref().map_or(0, |o| o.upper),
@@ -1197,7 +1441,7 @@ fn run_solve(
 /// than returning a wrong answer.
 fn run_answer(
     inner: &Inner,
-    job: &Job,
+    job: &Job<Work>,
     w: &AnswerWork,
     incumbent: &Arc<Incumbent>,
     fault: &Fault,
@@ -1222,11 +1466,11 @@ fn run_answer(
         inner.opts.memory_mb.map(|mb| MemoryBudget::new(mb << 20))
     };
     let opts = AnswerOptions {
-        mode: w.mode,
-        limit: w.limit.unwrap_or(DEFAULT_ANSWER_LIMIT),
+        mode: w.req.mode,
+        limit: w.req.limit.unwrap_or(DEFAULT_ANSWER_LIMIT),
         search: cfg,
         memory_budget: budget,
-        shape_cache: w.use_shape_cache.then(|| Arc::clone(&inner.shapes)),
+        shape_cache: w.req.use_cache.then(|| Arc::clone(&inner.shapes)),
         deadline: Some(
             job.deadline
                 .checked_sub(DEADLINE_SLACK)
@@ -1273,7 +1517,7 @@ fn run_answer(
     inner.log(format_args!(
         "req={} obj=answer mode={} fp={} shape_cache={} status={} tuples={} queued_ms={:.2} eval_ms={:.1} total_ms={:.1} deadline_ms={}",
         job.id.as_deref().unwrap_or("-"),
-        w.mode.name(),
+        w.req.mode.name(),
         r.fingerprint.as_deref().unwrap_or("-"),
         if r.cached { "hit" } else { "miss" },
         r.status.name(),
@@ -1286,26 +1530,26 @@ fn run_answer(
     r
 }
 
-/// Runs one forwarded request on a worker: dial the owners in order and
-/// relay the first usable response; when every owner is unreachable,
-/// shutting down or partitioned away, compute locally (the certificate
-/// then travels to the owners as a hint via the replication path).
-/// Forwarding runs on the worker pool — never on the event loop — so a
-/// slow peer stalls one worker slot, not the whole front end.
-fn run_forward(
+/// Cluster mode: relays a request whose key this node does not own to
+/// the key's owners, dialing them in order and returning the first
+/// usable response. `None` means compute here: no cluster, the key is
+/// owned here, or every owner is unreachable, shutting down or
+/// partitioned away (the certificate then travels to the owners as a
+/// hint via the replication path). Forwarding runs on the worker pool —
+/// never on the event loop — so a slow peer stalls one worker slot, not
+/// the whole front end.
+fn forward(
     inner: &Inner,
-    job: &Job,
-    f: &ForwardWork,
-    incumbent: &Arc<Incumbent>,
-    fault: &Fault,
-    queued: Duration,
-) -> Response {
-    let cluster = inner
-        .cluster
-        .as_ref()
-        .expect("forward work queued without a cluster");
+    job: &Job<Work>,
+    key: u64,
+    cmd: impl FnOnce() -> Command,
+) -> Option<Response> {
+    let cluster = inner.cluster.as_ref().filter(|cl| !cl.owns(key))?;
+    let _sp = htd_trace::span!("cluster.forward");
+    let candidates = cluster.forward_candidates(key);
+    let cmd = cmd();
     let dial_timeout = Duration::from_millis(cluster.config().probe_timeout_ms);
-    for (hop, (peer, addr)) in f.candidates.iter().enumerate() {
+    for (hop, (peer, addr)) in candidates.iter().enumerate() {
         let attempt = (|| -> Option<Response> {
             if cluster.is_peer_partitioned(peer) {
                 return None;
@@ -1316,7 +1560,7 @@ fn run_forward(
             let r = c
                 .request(&Request {
                     id: job.id.clone(),
-                    cmd: f.cmd.clone(),
+                    cmd: cmd.clone(),
                 })
                 .ok()?;
             // a draining owner refuses new work; treat like a dead one
@@ -1331,14 +1575,13 @@ fn run_forward(
                 r.id = job.id.clone();
                 r.elapsed_ms = job.received.elapsed().as_secs_f64() * 1000.0;
                 inner.log(format_args!(
-                    "req={} fp={} forwarded to={} hop={hop} status={} ms={:.1}",
+                    "req={} fp={key:016x} forwarded to={} hop={hop} status={} ms={:.1}",
                     job.id.as_deref().unwrap_or("-"),
-                    f.local.fingerprint_hex().unwrap_or("-"),
                     peer,
                     r.status.name(),
                     r.elapsed_ms,
                 ));
-                return r;
+                return Some(r);
             }
             None => {
                 inner
@@ -1346,9 +1589,8 @@ fn run_forward(
                     .cluster_failovers
                     .fetch_add(1, Ordering::Relaxed);
                 inner.log(format_args!(
-                    "req={} fp={} owner={peer} unreachable, failing over",
+                    "req={} fp={key:016x} owner={peer} unreachable, failing over",
                     job.id.as_deref().unwrap_or("-"),
-                    f.local.fingerprint_hex().unwrap_or("-"),
                 ));
             }
         }
@@ -1360,23 +1602,17 @@ fn run_forward(
         .cluster_local_fallbacks
         .fetch_add(1, Ordering::Relaxed);
     inner.log(format_args!(
-        "req={} fp={} all {} owner(s) unusable: solving locally",
+        "req={} fp={key:016x} all {} owner(s) unusable: solving locally",
         job.id.as_deref().unwrap_or("-"),
-        f.local.fingerprint_hex().unwrap_or("-"),
-        f.candidates.len(),
+        candidates.len(),
     ));
-    match &*f.local {
-        Work::Solve(w) => run_solve(inner, job, w, incumbent, fault, queued),
-        Work::Answer(w) => run_answer(inner, job, w, incumbent, fault, queued),
-        // admission never nests Forward/PutCert inside a fallback
-        Work::Forward(_) | Work::PutCert(_) => unreachable!("invalid forward fallback"),
-    }
+    None
 }
 
 /// Handles a `put_cert` push from a peer: the claim is re-verified from
 /// scratch (re-parse, re-canonicalize, oracle re-proof) before anything
 /// is admitted — a remote peer is exactly as untrusted as bytes on disk.
-fn run_put_cert(inner: &Inner, job: &Job, p: &CertPush) -> Response {
+fn run_put_cert(inner: &Inner, job: &Job<Work>, p: &CertPush) -> Response {
     let claimed = u64::from_str_radix(&p.fingerprint_hex, 16).unwrap_or(0);
     let mut r = match crate::store::verify_claim(
         p.objective,
@@ -1458,9 +1694,9 @@ pub(crate) fn response_line(response: &Response) -> Vec<u8> {
     body.into_bytes()
 }
 
-/// Non-blocking admission on the event loop: probes answer on the spot,
-/// solves/answers either answer immediately (cache hit, parse error,
-/// drain refusal, backpressure rejection) or enter the bounded work
+/// Non-blocking admission on the event loop: probes answer on the spot;
+/// solves, answers and certificate pushes either answer immediately
+/// (drain refusal, backpressure rejection) or enter the bounded work
 /// queue with their reply routed to `sink`.
 pub(crate) fn admit_request(inner: &Arc<Inner>, req: Request, sink: ReplySink) -> Admission {
     match admit_request_inner(inner, req, sink) {
@@ -1498,340 +1734,85 @@ fn admit_request_inner(inner: &Arc<Inner>, req: Request, sink: ReplySink) -> Adm
             }
             Admission::Ready(Response::new(req.id, Status::ShuttingDown))
         }
-        Command::Solve(s) => admit_solve(inner, req.id, s, sink),
-        Command::Answer(a) => admit_answer(inner, req.id, a, sink),
-        Command::PutCert(p) => admit_put_cert(inner, req.id, p, sink),
-    }
-}
-
-/// Admission path of a peer's `put_cert` push: the oracle re-proof is
-/// real work (a full `htd check` of the claimed decomposition), so it
-/// rides the bounded queue like any other job instead of stalling the
-/// event loop.
-fn admit_put_cert(
-    inner: &Arc<Inner>,
-    id: Option<String>,
-    p: CertPush,
-    sink: ReplySink,
-) -> Admission {
-    let received = Instant::now();
-    inner
-        .metrics
-        .put_cert_requests
-        .fetch_add(1, Ordering::Relaxed);
-    if inner.draining() {
-        inner
-            .metrics
-            .shedding_responses
-            .fetch_add(1, Ordering::Relaxed);
-        let mut r = Response::new(id, Status::ShuttingDown);
-        r.error = Some("server is draining".into());
-        return Admission::Ready(r);
-    }
-    let deadline_ms = inner.opts.default_deadline_ms;
-    let deadline = received + Duration::from_millis(deadline_ms);
-    let fingerprint_hex = p.fingerprint_hex.clone();
-    let job = Job {
-        id: id.clone(),
-        work: Work::PutCert(p),
-        deadline,
-        deadline_ms,
-        threads: 1,
-        engines: None,
-        received,
-        enqueued: Instant::now(),
-        reply: sink,
-    };
-    inner.metrics.queue_depth.fetch_add(1, Ordering::SeqCst);
-    if !inner.queue.try_push(job) {
-        inner.metrics.queue_depth.fetch_sub(1, Ordering::SeqCst);
-        inner
-            .metrics
-            .rejected_responses
-            .fetch_add(1, Ordering::Relaxed);
-        // the sender's outbox redelivers with backoff; a plain rejection
-        // is all the backpressure signal it needs
-        let mut r = Response::new(id, Status::Rejected);
-        r.error = Some("work queue full".into());
-        r.fingerprint = Some(fingerprint_hex);
-        r.elapsed_ms = received.elapsed().as_secs_f64() * 1000.0;
-        return Admission::Ready(r);
-    }
-    Admission::Queued {
-        id,
-        fingerprint: Some(fingerprint_hex),
-        deadline,
-        received,
-    }
-}
-
-fn admit_solve(
-    inner: &Arc<Inner>,
-    id: Option<String>,
-    s: SolveRequest,
-    sink: ReplySink,
-) -> Admission {
-    let received = Instant::now();
-    inner.metrics.solve_requests.fetch_add(1, Ordering::Relaxed);
-    let deadline_ms = s.deadline_ms.unwrap_or(inner.opts.default_deadline_ms);
-    let deadline = received + Duration::from_millis(deadline_ms);
-    let objective_name = s.objective.name();
-
-    let (problem, key_hypergraph) = match parse_problem(s.format, &s.instance, s.objective) {
-        Ok(pair) => pair,
-        Err(e) => {
+        Command::Solve(s) => {
+            inner.metrics.solve_requests.fetch_add(1, Ordering::Relaxed);
+            let label = s.objective.name();
+            let deadline_ms = s.deadline_ms.unwrap_or(inner.opts.default_deadline_ms);
+            let threads = s.threads.unwrap_or(1).max(1);
+            let engines = s.engines.clone();
+            let job = Job::new(
+                req.id,
+                Intake::Solve(s),
+                deadline_ms,
+                threads,
+                engines,
+                sink,
+            );
+            admit_job(inner, &inner.intake, job, label, None)
+        }
+        Command::Answer(a) => {
             inner
                 .metrics
-                .error_responses
+                .answer_requests
                 .fetch_add(1, Ordering::Relaxed);
-            let mut r = Response::from_error(id.clone(), &e);
-            r.elapsed_ms = received.elapsed().as_secs_f64() * 1000.0;
-            inner.log(format_args!(
-                "req={} obj={objective_name} status=error err={:?}",
-                id.as_deref().unwrap_or("-"),
-                r.error.as_deref().unwrap_or("")
-            ));
-            return Admission::Ready(r);
+            let deadline_ms = a.deadline_ms.unwrap_or(inner.opts.default_deadline_ms);
+            let threads = a.threads.unwrap_or(1).max(1);
+            let engines = a.engines.clone();
+            let job = Job::new(
+                req.id,
+                Intake::Answer(a),
+                deadline_ms,
+                threads,
+                engines,
+                sink,
+            );
+            admit_job(inner, &inner.intake, job, "answer", None)
         }
-    };
-    let canon = canonical_form(&key_hypergraph);
-    let fingerprint_hex = canon.hex();
-
-    if s.use_cache {
-        if let Some(hit) = inner.cache.lookup(
-            canon.fingerprint,
-            &canon.bytes,
-            objective_name,
-            true,
-            Some(deadline_ms),
-        ) {
-            inner.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
-            inner.metrics.ok_responses.fetch_add(1, Ordering::Relaxed);
+        Command::PutCert(p) => {
+            // the oracle re-proof is real work (a full `htd check` of the
+            // claimed decomposition), so it goes straight to a worker
             inner
                 .metrics
-                .record_served(hit.outcome.upper, hit.outcome.exact);
-            let mut r = Response::new(id.clone(), Status::Ok);
-            r.cached = true;
-            r.outcome = Some(hit.outcome);
-            r.fingerprint = Some(fingerprint_hex.clone());
-            r.canonical = canon.complete;
-            r.elapsed_ms = received.elapsed().as_secs_f64() * 1000.0;
-            inner.metrics.request_latency.observe(r.elapsed_ms);
-            inner.log(format_args!(
-                "req={} obj={objective_name} fp={fingerprint_hex} cache=hit status=ok width={} ms={:.2}",
-                id.as_deref().unwrap_or("-"),
-                r.outcome.as_ref().map_or(0, |o| o.upper),
-                r.elapsed_ms
-            ));
-            return Admission::Ready(r);
+                .put_cert_requests
+                .fetch_add(1, Ordering::Relaxed);
+            let fingerprint = Some(p.fingerprint_hex.clone());
+            let deadline_ms = inner.opts.default_deadline_ms;
+            let job = Job::new(req.id, Work::PutCert(p), deadline_ms, 1, None, sink);
+            admit_job(inner, &inner.queue, job, "put_cert", fingerprint)
         }
     }
-    inner.metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
+}
 
+/// Admission of queued work: refused while draining, otherwise entered
+/// into `queue`, or rejected at once when the queue is full. Nothing
+/// about the request beyond its envelope is examined here: parsing,
+/// canonicalization, cache lookups and a peer's oracle re-proof all run
+/// off the event loop.
+fn admit_job<W>(
+    inner: &Inner,
+    queue: &WorkQueue<Job<W>>,
+    job: Job<W>,
+    label: &str,
+    fingerprint: Option<String>,
+) -> Admission {
     if inner.draining() {
         inner
             .metrics
             .shedding_responses
             .fetch_add(1, Ordering::Relaxed);
-        let mut r = Response::new(id, Status::ShuttingDown);
+        let mut r = Response::new(job.id, Status::ShuttingDown);
         r.error = Some("server is draining".into());
         return Admission::Ready(r);
     }
-
-    let solve_work = SolveWork {
-        problem,
-        fingerprint: canon.fingerprint,
-        fingerprint_hex: fingerprint_hex.clone(),
-        canonical: canon.bytes,
-        canonical_complete: canon.complete,
-        objective_name,
-        budget: s.budget,
-        // the instance text is only re-read by the store's loader and
-        // the cluster's replication push; keep the job lean otherwise
-        instance: if inner.store.is_some() || inner.cluster.is_some() {
-            s.instance.clone()
-        } else {
-            String::new()
+    let (id, deadline, received) = (job.id.clone(), job.deadline, job.received);
+    match inner.enqueue(queue, job, label, fingerprint.clone()) {
+        None => Admission::Queued {
+            id,
+            fingerprint,
+            deadline,
+            received,
         },
-        format: s.format,
-    };
-    let threads = s.threads.unwrap_or(1).max(1);
-    let engines = s.engines.clone();
-    // keys this node does not own route to their owners; the `forwarded`
-    // flag breaks the cycle (a forwarded request always computes where
-    // it lands). Cache hits above stay local either way — replicas hold
-    // verified entries legitimately.
-    let work = match &inner.cluster {
-        Some(cl) if !s.forwarded && !cl.owns(canon.fingerprint) => {
-            let candidates = cl.forward_candidates(canon.fingerprint);
-            let mut fwd = s;
-            fwd.forwarded = true;
-            Work::Forward(ForwardWork {
-                cmd: Command::Solve(fwd),
-                candidates,
-                local: Box::new(Work::Solve(solve_work)),
-            })
-        }
-        _ => Work::Solve(solve_work),
-    };
-    let job = Job {
-        id: id.clone(),
-        work,
-        deadline,
-        deadline_ms,
-        threads,
-        engines,
-        received,
-        enqueued: Instant::now(),
-        reply: sink,
-    };
-    inner.metrics.queue_depth.fetch_add(1, Ordering::SeqCst);
-    if !inner.queue.try_push(job) {
-        inner.metrics.queue_depth.fetch_sub(1, Ordering::SeqCst);
-        inner
-            .metrics
-            .rejected_responses
-            .fetch_add(1, Ordering::Relaxed);
-        // hint: half the median solve so retries spread out, floor 10ms
-        let p50 = inner.metrics.solve_latency.quantile(0.5);
-        let mut r = Response::new(id.clone(), Status::Rejected);
-        r.error = Some("work queue full".into());
-        r.retry_after_ms = Some(((p50 / 2.0) as u64).clamp(10, 1000));
-        r.fingerprint = Some(fingerprint_hex.clone());
-        r.elapsed_ms = received.elapsed().as_secs_f64() * 1000.0;
-        inner.log(format_args!(
-            "req={} obj={objective_name} fp={fingerprint_hex} status=rejected retry_after_ms={}",
-            id.as_deref().unwrap_or("-"),
-            r.retry_after_ms.unwrap_or(0)
-        ));
-        return Admission::Ready(r);
-    }
-
-    Admission::Queued {
-        id,
-        fingerprint: Some(fingerprint_hex),
-        deadline,
-        received,
-    }
-}
-
-/// Admission path of an `answer` request: parse the query on the event
-/// loop (cheap, and a parse error must not occupy a worker), then queue
-/// the evaluation under the same backpressure and deadline rules as a
-/// solve. Unlike the solve result cache, the shape cache cannot answer
-/// on the event loop — a shape hit only
-/// skips the decomposition, the semijoin passes still run against this
-/// request's own relations — so the lookup happens inside the pipeline
-/// on the worker.
-fn admit_answer(
-    inner: &Arc<Inner>,
-    id: Option<String>,
-    a: AnswerRequest,
-    sink: ReplySink,
-) -> Admission {
-    let received = Instant::now();
-    inner
-        .metrics
-        .answer_requests
-        .fetch_add(1, Ordering::Relaxed);
-    let deadline_ms = a.deadline_ms.unwrap_or(inner.opts.default_deadline_ms);
-    let deadline = received + Duration::from_millis(deadline_ms);
-
-    // the service never reads relation files on behalf of a remote peer
-    let query = match parse_query(&a.query, &FileAccess::Deny) {
-        Ok(q) => q,
-        Err(e) => {
-            inner
-                .metrics
-                .error_responses
-                .fetch_add(1, Ordering::Relaxed);
-            let mut r = Response::from_error(id.clone(), &e);
-            r.elapsed_ms = received.elapsed().as_secs_f64() * 1000.0;
-            inner.log(format_args!(
-                "req={} obj=answer status=error err={:?}",
-                id.as_deref().unwrap_or("-"),
-                r.error.as_deref().unwrap_or("")
-            ));
-            return Admission::Ready(r);
-        }
-    };
-    let parse_us = received.elapsed().as_micros() as u64;
-
-    if inner.draining() {
-        inner
-            .metrics
-            .shedding_responses
-            .fetch_add(1, Ordering::Relaxed);
-        let mut r = Response::new(id, Status::ShuttingDown);
-        r.error = Some("server is draining".into());
-        return Admission::Ready(r);
-    }
-
-    // answers route on the same key the shape cache uses: the canonical
-    // fingerprint of the query's hypergraph (only computed when clustered)
-    let routing_key = inner
-        .cluster
-        .as_ref()
-        .map(|_| canonical_form(&query.csp.hypergraph()).fingerprint);
-    let answer_work = AnswerWork {
-        query,
-        mode: a.mode,
-        limit: a.limit,
-        use_shape_cache: a.use_cache,
-        parse_us,
-    };
-    let threads = a.threads.unwrap_or(1).max(1);
-    let engines = a.engines.clone();
-    let work = match (&inner.cluster, routing_key) {
-        (Some(cl), Some(key)) if !a.forwarded && !cl.owns(key) => {
-            let candidates = cl.forward_candidates(key);
-            let mut fwd = a;
-            fwd.forwarded = true;
-            Work::Forward(ForwardWork {
-                cmd: Command::Answer(fwd),
-                candidates,
-                local: Box::new(Work::Answer(answer_work)),
-            })
-        }
-        _ => Work::Answer(answer_work),
-    };
-    let job = Job {
-        id: id.clone(),
-        work,
-        deadline,
-        deadline_ms,
-        threads,
-        engines,
-        received,
-        enqueued: Instant::now(),
-        reply: sink,
-    };
-    inner.metrics.queue_depth.fetch_add(1, Ordering::SeqCst);
-    if !inner.queue.try_push(job) {
-        inner.metrics.queue_depth.fetch_sub(1, Ordering::SeqCst);
-        inner
-            .metrics
-            .rejected_responses
-            .fetch_add(1, Ordering::Relaxed);
-        // hint: half the median solve so retries spread out, floor 10ms
-        let p50 = inner.metrics.solve_latency.quantile(0.5);
-        let mut r = Response::new(id.clone(), Status::Rejected);
-        r.error = Some("work queue full".into());
-        r.retry_after_ms = Some(((p50 / 2.0) as u64).clamp(10, 1000));
-        r.elapsed_ms = received.elapsed().as_secs_f64() * 1000.0;
-        inner.log(format_args!(
-            "req={} obj=answer status=rejected retry_after_ms={}",
-            id.as_deref().unwrap_or("-"),
-            r.retry_after_ms.unwrap_or(0)
-        ));
-        return Admission::Ready(r);
-    }
-
-    Admission::Queued {
-        id,
-        fingerprint: None,
-        deadline,
-        received,
+        Some((r, _)) => Admission::Ready(r),
     }
 }
 

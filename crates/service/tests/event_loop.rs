@@ -392,6 +392,52 @@ fn pipelined_flood_does_not_starve_other_connections() {
     server.wait();
 }
 
+/// A small but highly symmetric instance — disjoint triangles — makes
+/// canonicalization expensive: every triangle is a representative of the
+/// one vertex class, refined at every level before the first leaf. The
+/// loop hands parsing and canonicalization to a worker, so a second
+/// connection's pings are answered while it runs. The instance is sized
+/// to the build so that canonicalization takes about a second.
+#[test]
+fn symmetric_solve_does_not_stall_other_connections() {
+    let (server, addr) = start(loop_opts());
+    let triangles: usize = if cfg!(debug_assertions) { 60 } else { 140 };
+    let mut instance = format!("p tw {} {}\n", 3 * triangles, 3 * triangles);
+    for t in 0..triangles {
+        let (a, b, c) = (3 * t + 1, 3 * t + 2, 3 * t + 3);
+        instance.push_str(&format!("{a} {b}\n{b} {c}\n{a} {c}\n"));
+    }
+
+    let mut probe = Client::connect(&addr).unwrap();
+    probe.ping().unwrap();
+    let heavy = TcpStream::connect(&addr).unwrap();
+    heavy
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    (&heavy)
+        .write_all(solve_line("sym", Objective::Treewidth, &instance, 30_000).as_bytes())
+        .unwrap();
+    let solver = std::thread::spawn(move || read_response(&mut BufReader::new(heavy)));
+
+    let mut slowest = Duration::ZERO;
+    while !solver.is_finished() {
+        let t = Instant::now();
+        probe.ping().unwrap();
+        slowest = slowest.max(t.elapsed());
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let r = solver.join().unwrap();
+    assert_eq!(r.status, Status::Ok, "{:?}", r.error);
+    assert_eq!(r.outcome.unwrap().upper, 2, "disjoint triangles have tw 2");
+    assert!(
+        slowest < Duration::from_millis(500),
+        "a ping waited {slowest:?} behind the symmetric solve"
+    );
+
+    probe.shutdown().unwrap();
+    server.wait();
+}
+
 /// A client that pipelines pings and never reads the replies must stall
 /// on its own socket: the loop stops reading a connection whose
 /// unflushed replies pass a fixed bound. Other connections are still
