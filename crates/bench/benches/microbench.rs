@@ -1,20 +1,23 @@
 //! Criterion microbenchmarks for the workspace's hot paths:
 //! vertex elimination, ordering evaluation, set covers, bucket
-//! elimination, relational joins, bound heuristics and the exact searches
-//! on small instances.
+//! elimination, relational joins, bound heuristics, the exact searches
+//! on small instances, and the service's wire codec.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use htd_core::bucket::{bucket_elimination, vertex_elimination};
 use htd_core::ordering::{CoverStrategy, EliminationOrdering, GhwEvaluator, TwEvaluator};
+use htd_core::Json;
 use htd_csp::{builders, Relation};
 use htd_heuristics::{combined_lower_bound, upper::min_fill};
 use htd_hypergraph::{gen, EliminationGraph, VertexSet};
+use htd_query::{parse_query, AnswerMode, FileAccess};
 use htd_search::astar::astar_tw;
 use htd_search::bb::{bb_ghw, bb_tw};
 use htd_search::SearchConfig;
+use htd_service::{AnswerRequest, Command, Request};
 use htd_setcover::{greedy_cover, CoverCache, ExactCover};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 fn bench_elimination(c: &mut Criterion) {
     let g = gen::queen_graph(8);
@@ -217,6 +220,63 @@ fn bench_extensions(c: &mut Criterion) {
     });
 }
 
+/// A synthetic `answer` request of about 16 KB, near the size the repeated-shape
+/// answer workload sends: a cycle of 8 four-variable atoms, each relation
+/// 160 tuples over a domain of 24. Returns the query text and the request
+/// line.
+fn answer_request() -> (String, String) {
+    let mut rng = StdRng::seed_from_u64(7);
+    let atoms: Vec<String> = (0..8)
+        .map(|i| {
+            let vars: Vec<String> = (0..4).map(|k| format!("x{}", (2 * i + k) % 16)).collect();
+            format!("R{i}({})", vars.join(", "))
+        })
+        .collect();
+    let mut query = format!("Q() :- {}.\n", atoms.join(", "));
+    for i in 0..8 {
+        let tuples: Vec<String> = (0..160)
+            .map(|_| {
+                let vals: Vec<String> = (0..4)
+                    .map(|_| rng.gen_range(0..24u32).to_string())
+                    .collect();
+                vals.join(" ")
+            })
+            .collect();
+        query.push_str(&format!("R{i}: {} .\n", tuples.join(" ; ")));
+    }
+    let request = Request {
+        id: Some("bench".into()),
+        cmd: Command::Answer(AnswerRequest {
+            query: query.clone(),
+            mode: AnswerMode::Boolean,
+            limit: None,
+            deadline_ms: None,
+            threads: None,
+            engines: None,
+            use_cache: true,
+            forwarded: false,
+        }),
+    };
+    (query, request.to_json().to_string())
+}
+
+/// The service's wire codec on one large `answer` request: the envelope
+/// parse the event loop runs on every frame, the encoding a client and
+/// every response line pay, and the query parse on the intake thread.
+fn bench_wire(c: &mut Criterion) {
+    let (query, line) = answer_request();
+    let doc = Json::parse(&line).unwrap();
+    c.bench_function("wire_json_parse_answer_request", |b| {
+        b.iter(|| black_box(Json::parse(black_box(&line)).unwrap()))
+    });
+    c.bench_function("wire_json_write_answer_request", |b| {
+        b.iter(|| black_box(black_box(&doc).to_string()))
+    });
+    c.bench_function("wire_parse_query", |b| {
+        b.iter(|| black_box(parse_query(black_box(&query), &FileAccess::Deny).unwrap()))
+    });
+}
+
 criterion_group!(
     benches,
     bench_elimination,
@@ -228,6 +288,7 @@ criterion_group!(
     bench_bounds,
     bench_search,
     bench_relational,
-    bench_extensions
+    bench_extensions,
+    bench_wire
 );
 criterion_main!(benches);

@@ -1,11 +1,27 @@
 //! A minimal JSON value type with writer and parser.
 //!
 //! The workspace has no serde (the build environment vendors its few
-//! dependencies), and its JSON needs are small: the CLI's `--format json`
-//! emits one object per line, and the bench harness reads those objects
-//! back. This module implements exactly RFC 8259 — no extensions, no
-//! reflection — with an order-preserving object representation so emitted
-//! documents are stable for tests.
+//! dependencies), and its JSON needs are small: the service's wire
+//! protocol and certificate store, the CLI's `--format json` lines and
+//! the bench harness all use this one type. Objects keep their insertion
+//! order, so emitted documents are stable for tests.
+//!
+//! The parser reads every RFC 8259 document, escaped UTF-16 surrogate
+//! pairs included, and accepts a little more than the RFC allows:
+//!
+//! * raw control characters (U+0000–U+001F) inside strings;
+//! * numbers with leading zeros (`007`), an empty integer part after a
+//!   minus (`-.5`) or an empty fraction (`1.`, `1.e5`);
+//! * duplicate object keys ([`Json::get`] returns the first).
+//!
+//! The writer escapes `"`, `\` and U+0000–U+001F, and writes
+//! integral numbers below 9e15 without a fraction. It prints a
+//! non-finite number as `NaN` or `inf`, which is not JSON and which the
+//! parser rejects.
+//!
+//! Parsing and writing are linear in the document's length: a string is
+//! copied a run at a time, each run ending at the next byte that needs
+//! an escape.
 
 use std::fmt;
 
@@ -81,14 +97,11 @@ impl Json {
     /// Parses a JSON document (the whole string must be one value plus
     /// optional surrounding whitespace).
     pub fn parse(text: &str) -> Result<Json, HtdError> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
+        let mut p = Parser { text, pos: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
-        if p.pos != p.bytes.len() {
+        if p.pos != text.len() {
             return Err(HtdError::Parse(format!(
                 "trailing characters at byte {}",
                 p.pos
@@ -138,28 +151,40 @@ impl fmt::Display for Json {
 
 fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
     f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
+    // every byte that needs an escape is ASCII, so the runs between them
+    // start and end on char boundaries
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        f.write_str(&s[run..i])?;
+        run = i + 1;
+        match b {
+            b'"' => f.write_str("\\\"")?,
+            b'\\' => f.write_str("\\\\")?,
+            b'\n' => f.write_str("\\n")?,
+            b'\r' => f.write_str("\\r")?,
+            b'\t' => f.write_str("\\t")?,
+            _ => write!(f, "\\u{b:04x}")?,
         }
     }
+    f.write_str(&s[run..])?;
     f.write_str("\"")
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
+    fn bytes(&self) -> &'a [u8] {
+        self.text.as_bytes()
+    }
+
     fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
+        while let Some(&b) = self.bytes().get(self.pos) {
             if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
                 self.pos += 1;
             } else {
@@ -169,7 +194,7 @@ impl Parser<'_> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), HtdError> {
@@ -185,7 +210,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, lit: &str, v: Json) -> Result<Json, HtdError> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+        if self.bytes()[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
             Ok(v)
         } else {
@@ -229,66 +254,83 @@ impl Parser<'_> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| HtdError::Parse("non-utf8 number".into()))?;
+        // the scanned bytes are ASCII, so both ends are char boundaries
+        let text = &self.text[start..self.pos];
         text.parse::<f64>()
             .map(Json::Num)
             .map_err(|_| HtdError::Parse(format!("bad number '{text}'")))
     }
 
+    /// A string: each run up to the next `"` or `\` is copied whole.
+    /// Both delimiters are ASCII, so every run ends on a char boundary of
+    /// the (already valid UTF-8) text.
     fn string(&mut self) -> Result<String, HtdError> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            match self.peek() {
-                None => return Err(HtdError::Parse("unterminated string".into())),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| HtdError::Parse("short \\u escape".into()))?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex)
-                                    .map_err(|_| HtdError::Parse("bad \\u escape".into()))?,
-                                16,
-                            )
-                            .map_err(|_| HtdError::Parse("bad \\u escape".into()))?;
-                            // BMP only — sufficient for this workspace's output
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| HtdError::Parse("bad codepoint".into()))?,
-                            );
-                            self.pos += 4;
-                        }
-                        _ => return Err(HtdError::Parse("bad escape".into())),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // consume one UTF-8 scalar
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| HtdError::Parse("non-utf8 string".into()))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+            let run = self.bytes()[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .ok_or_else(|| HtdError::Parse("unterminated string".into()))?;
+            let end = self.pos + run;
+            out.push_str(&self.text[self.pos..end]);
+            self.pos = end + 1;
+            if self.bytes()[end] == b'"' {
+                return Ok(out);
             }
+            let c = match self.peek() {
+                Some(b'"') => '"',
+                Some(b'\\') => '\\',
+                Some(b'/') => '/',
+                Some(b'n') => '\n',
+                Some(b'r') => '\r',
+                Some(b't') => '\t',
+                Some(b'b') => '\u{8}',
+                Some(b'f') => '\u{c}',
+                Some(b'u') => self.unicode_escape()?,
+                _ => return Err(HtdError::Parse("bad escape".into())),
+            };
+            out.push(c);
+            self.pos += 1;
         }
+    }
+
+    /// The character of a `\u` escape whose `u` is at `pos`; leaves `pos`
+    /// on its last hex digit. A UTF-16 surrogate pair spans two escapes
+    /// (RFC 8259 §7); a lone or reversed surrogate is an error.
+    fn unicode_escape(&mut self) -> Result<char, HtdError> {
+        let unpaired = || HtdError::Parse("unpaired surrogate in \\u escape".into());
+        let mut code = self.hex4()?;
+        if (0xD800..0xDC00).contains(&code) {
+            if !self.bytes()[self.pos + 1..].starts_with(b"\\u") {
+                return Err(unpaired());
+            }
+            self.pos += 2;
+            let low = self.hex4()?;
+            if !(0xDC00..0xE000).contains(&low) {
+                return Err(unpaired());
+            }
+            code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+        }
+        // only a surrogate left unpaired is not a char
+        char::from_u32(code).ok_or_else(unpaired)
+    }
+
+    /// The four hex digits after the `u` at `pos`; leaves `pos` on the last.
+    fn hex4(&mut self) -> Result<u32, HtdError> {
+        let hex = self
+            .bytes()
+            .get(self.pos + 1..self.pos + 5)
+            .ok_or_else(|| HtdError::Parse("short \\u escape".into()))?;
+        let mut code = 0;
+        for &h in hex {
+            let digit = (h as char)
+                .to_digit(16)
+                .ok_or_else(|| HtdError::Parse("bad \\u escape".into()))?;
+            code = code * 16 + digit;
+        }
+        self.pos += 4;
+        Ok(code)
     }
 
     fn array(&mut self) -> Result<Json, HtdError> {
@@ -346,6 +388,7 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn round_trips_a_nested_document() {
@@ -392,5 +435,147 @@ mod tests {
         let s = Json::Str("\u{1}".into()).to_string();
         assert_eq!(s, "\"\\u0001\"");
         assert_eq!(Json::parse(&s).unwrap(), Json::Str("\u{1}".into()));
+    }
+
+    /// Reference writer: one escape or one `char` at a time. The
+    /// run-copying writer must match it byte for byte.
+    fn per_char_escaped(s: &str) -> String {
+        let mut out = String::from("\"");
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    fn assert_round_trip(s: &str) {
+        let text = Json::Str(s.into()).to_string();
+        assert_eq!(text, per_char_escaped(s), "writer output for {s:?}");
+        assert_eq!(Json::parse(&text).unwrap(), Json::Str(s.into()), "{text}");
+    }
+
+    #[test]
+    fn multibyte_text_round_trips_next_to_every_escape() {
+        assert_round_trip("");
+        for wide in ["é", "€", "😀"] {
+            for esc in [
+                "\"", "\\", "\n", "\r", "\t", "\u{1}", "\u{1f}", "/", "\u{7f}",
+            ] {
+                assert_round_trip(&format!("{wide}{esc}"));
+                assert_round_trip(&format!("{esc}{wide}"));
+                assert_round_trip(&format!("ab{wide}{esc}{wide}cd{esc}"));
+                assert_round_trip(&format!("{esc}{wide}{wide}ascii run{esc}{esc}{wide}"));
+            }
+            assert_round_trip(wide);
+            assert_round_trip(&format!("{wide} and {wide}"));
+        }
+    }
+
+    #[test]
+    fn every_escape_form_parses() {
+        let v = Json::parse(r#""\"\\\/\b\f\n\r\t\u00e9\u20AC""#).unwrap();
+        assert_eq!(v, Json::Str("\"\\/\u{8}\u{c}\n\r\té€".into()));
+        // raw control characters are accepted beyond the RFC
+        assert_eq!(
+            Json::parse("\"a\u{1}\tb\"").unwrap(),
+            Json::Str("a\u{1}\tb".into())
+        );
+    }
+
+    #[test]
+    fn unterminated_strings_error_after_multibyte_tails() {
+        for text in [
+            "\"abc é",
+            "\"€",
+            "\"😀😀",
+            "\"é\\",
+            "\"€\\\"",
+            "{\"é\": \"😀",
+        ] {
+            assert!(Json::parse(text).is_err(), "{text:?} parsed");
+        }
+    }
+
+    #[test]
+    fn bad_unicode_escapes_are_errors() {
+        for text in [
+            r#""\u12""#,
+            r#""\u+123""#,
+            r#""\u12g4""#,
+            r#""\u00é""#,
+            r#""\x""#,
+        ] {
+            assert!(Json::parse(text).is_err(), "{text:?} parsed");
+        }
+    }
+
+    #[test]
+    fn surrogate_pairs_decode() {
+        let v = Json::parse(r#""\ud83d\ude00""#).unwrap();
+        assert_eq!(v, Json::Str("😀".into()));
+        // upper-case hex, and pairs next to plain text and other escapes
+        let v = Json::parse(r#""a\uD834\uDD1E\n\ud83d\ude00b""#).unwrap();
+        assert_eq!(v, Json::Str("a𝄞\n😀b".into()));
+        // the highest code point
+        let v = Json::parse(r#""\udbff\udfff""#).unwrap();
+        assert_eq!(v, Json::Str("\u{10ffff}".into()));
+    }
+
+    #[test]
+    fn lone_and_reversed_surrogates_are_errors() {
+        for text in [
+            r#""\ud83d""#,
+            r#""\ud83dx""#,
+            r#""\ud83d\n""#,
+            r#""\ud83d\u0041""#,
+            r#""\ud83d\ud83d""#,
+            r#""\ude00""#,
+            r#""\ude00\ud83d""#,
+            r#""\ud83d\ude0""#,
+        ] {
+            assert!(Json::parse(text).is_err(), "{text:?} parsed");
+        }
+    }
+
+    #[test]
+    fn four_mib_string_round_trips() {
+        let unit = "ascii run, \"quoted\" é € 😀 \\ \t\n\u{1} ";
+        let s = unit.repeat((4 << 20) / unit.len() + 1);
+        assert!(s.len() >= 4 << 20);
+        let doc = Json::Obj(vec![("query".into(), Json::Str(s))]);
+        let text = doc.to_string();
+        assert_eq!(Json::parse(&text).unwrap(), doc);
+    }
+
+    /// One char drawn so that escapes, multi-byte text and ASCII runs
+    /// all occur often next to each other.
+    fn any_char(kind: u32, raw: u32) -> char {
+        match kind {
+            0 => ['"', '\\', '\n', '\r', '\t', '/'][raw as usize % 6],
+            1 => char::from_u32(raw % 0x20).unwrap(),
+            2 => ['é', '€', '😀', '\u{7f}', '\u{ffff}'][raw as usize % 5],
+            3 => char::from_u32(raw % 0x11_0000).unwrap_or('\u{fffd}'),
+            _ => char::from_u32(0x20 + raw % 0x5f).unwrap(),
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn any_string_round_trips(
+            chars in proptest::collection::vec((0u32..8, any::<u32>()), 0..64usize)
+        ) {
+            let s: String = chars.into_iter().map(|(k, r)| any_char(k, r)).collect();
+            let text = Json::Str(s.clone()).to_string();
+            prop_assert_eq!(&text, &per_char_escaped(&s));
+            prop_assert_eq!(Json::parse(&text).unwrap(), Json::Str(s));
+        }
     }
 }

@@ -47,7 +47,9 @@
 //! constant) act as global guards: if the guard fails the query is
 //! trivially false.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
+use std::iter::Peekable;
 use std::path::{Path, PathBuf};
 
 use htd_core::{HtdError, Json};
@@ -131,11 +133,13 @@ impl Query {
 // Tokenizer
 // ---------------------------------------------------------------------
 
+/// A token; identifiers, numbers and strings without a `\"` escape
+/// borrow their text from the program.
 #[derive(Clone, Debug, PartialEq)]
-enum Tok {
-    Ident(String),
-    Num(String),
-    Str(String),
+enum Tok<'a> {
+    Ident(&'a str),
+    Num(&'a str),
+    Str(Cow<'a, str>),
     LParen,
     RParen,
     Comma,
@@ -146,7 +150,7 @@ enum Tok {
     At,
 }
 
-impl Tok {
+impl Tok<'_> {
     fn describe(&self) -> String {
         match self {
             Tok::Ident(s) => format!("identifier '{s}'"),
@@ -168,96 +172,73 @@ fn parse_err(msg: impl Into<String>) -> HtdError {
     HtdError::Parse(msg.into())
 }
 
-fn tokenize(text: &str) -> Result<Vec<Tok>, HtdError> {
-    let chars: Vec<char> = text.chars().collect();
+/// Splits `text` into tokens in one pass over its byte offsets.
+fn tokenize(text: &str) -> Result<Vec<Tok<'_>>, HtdError> {
+    let bytes = text.as_bytes();
     let mut toks = Vec::new();
     let mut i = 0;
-    while i < chars.len() {
-        let c = chars[i];
+    while let Some(c) = text[i..].chars().next() {
+        let punct = match c {
+            '(' => Some(Tok::LParen),
+            ')' => Some(Tok::RParen),
+            ',' => Some(Tok::Comma),
+            ';' => Some(Tok::Semi),
+            '.' => Some(Tok::Dot),
+            '@' => Some(Tok::At),
+            ':' if bytes.get(i + 1) == Some(&b'-') => Some(Tok::ColonDash),
+            ':' => Some(Tok::Colon),
+            _ => None,
+        };
+        if let Some(tok) = punct {
+            i += if tok == Tok::ColonDash { 2 } else { 1 };
+            toks.push(tok);
+            continue;
+        }
+        let start = i;
         match c {
-            _ if c.is_whitespace() => i += 1,
-            '%' | '#' => {
-                while i < chars.len() && chars[i] != '\n' {
-                    i += 1;
-                }
-            }
-            '(' => {
-                toks.push(Tok::LParen);
-                i += 1;
-            }
-            ')' => {
-                toks.push(Tok::RParen);
-                i += 1;
-            }
-            ',' => {
-                toks.push(Tok::Comma);
-                i += 1;
-            }
-            ';' => {
-                toks.push(Tok::Semi);
-                i += 1;
-            }
-            '.' => {
-                toks.push(Tok::Dot);
-                i += 1;
-            }
-            '@' => {
-                toks.push(Tok::At);
-                i += 1;
-            }
-            ':' => {
-                if chars.get(i + 1) == Some(&'-') {
-                    toks.push(Tok::ColonDash);
-                    i += 2;
-                } else {
-                    toks.push(Tok::Colon);
-                    i += 1;
-                }
-            }
+            _ if c.is_whitespace() => i += c.len_utf8(),
+            '%' | '#' => i = text[i..].find('\n').map_or(text.len(), |n| i + n),
             '"' => {
-                let mut s = String::new();
+                // `\"` is the only escape; the quote and backslash are
+                // ASCII, so stepping bytewise never splits a char
+                let mut escaped = false;
                 i += 1;
                 loop {
-                    match chars.get(i) {
+                    match bytes.get(i) {
                         None => return Err(parse_err("unterminated string literal")),
-                        Some('"') => {
-                            i += 1;
-                            break;
-                        }
-                        Some('\\') if chars.get(i + 1) == Some(&'"') => {
-                            s.push('"');
+                        Some(b'"') => break,
+                        Some(b'\\') if bytes.get(i + 1) == Some(&b'"') => {
+                            escaped = true;
                             i += 2;
                         }
-                        Some(&ch) => {
-                            s.push(ch);
-                            i += 1;
-                        }
+                        Some(_) => i += 1,
                     }
                 }
-                toks.push(Tok::Str(s));
+                let raw = &text[start + 1..i];
+                i += 1;
+                toks.push(Tok::Str(if escaped {
+                    Cow::Owned(raw.replace("\\\"", "\""))
+                } else {
+                    Cow::Borrowed(raw)
+                }));
             }
             '-' | '0'..='9' => {
-                let start = i;
                 if c == '-' {
                     i += 1;
-                    if !chars.get(i).is_some_and(|ch| ch.is_ascii_digit()) {
+                    if !bytes.get(i).is_some_and(u8::is_ascii_digit) {
                         return Err(parse_err("'-' must start a number"));
                     }
                 }
-                while chars.get(i).is_some_and(|ch| ch.is_ascii_digit()) {
+                while bytes.get(i).is_some_and(u8::is_ascii_digit) {
                     i += 1;
                 }
-                toks.push(Tok::Num(chars[start..i].iter().collect()));
+                toks.push(Tok::Num(&text[start..i]));
             }
             _ if c.is_alphabetic() || c == '_' => {
-                let start = i;
-                while chars
-                    .get(i)
-                    .is_some_and(|ch| ch.is_alphanumeric() || *ch == '_')
-                {
-                    i += 1;
-                }
-                toks.push(Tok::Ident(chars[start..i].iter().collect()));
+                i += text[i..]
+                    .find(|ch: char| !(ch.is_alphanumeric() || ch == '_'))
+                    .unwrap_or(text.len() - i);
+                toks.push(Tok::Ident(&text[start..i]));
             }
             other => return Err(parse_err(format!("unexpected character '{other}'"))),
         }
@@ -270,42 +251,41 @@ fn tokenize(text: &str) -> Result<Vec<Tok>, HtdError> {
 // ---------------------------------------------------------------------
 
 #[derive(Clone, Debug)]
-enum Term {
-    Var(String),
-    Const(String),
+enum Term<'a> {
+    Var(&'a str),
+    Const(Cow<'a, str>),
 }
 
 #[derive(Clone, Debug)]
-struct Atom {
-    relation: String,
-    terms: Vec<Term>,
+struct Atom<'a> {
+    relation: &'a str,
+    terms: Vec<Term<'a>>,
 }
 
 #[derive(Clone, Debug)]
-struct Rule {
-    name: String,
-    head: Vec<String>,
-    body: Vec<Atom>,
+struct Rule<'a> {
+    name: &'a str,
+    head: Vec<&'a str>,
+    body: Vec<Atom<'a>>,
 }
 
-struct Parser {
-    toks: Vec<Tok>,
-    pos: usize,
+/// A relation's tuples; values borrow from the program text where they
+/// can.
+type Tuples<'a> = Vec<Vec<Cow<'a, str>>>;
+
+struct Parser<'a> {
+    toks: Peekable<std::vec::IntoIter<Tok<'a>>>,
 }
 
-impl Parser {
-    fn peek(&self) -> Option<&Tok> {
-        self.toks.get(self.pos)
+impl<'a> Parser<'a> {
+    fn peek(&mut self) -> Option<&Tok<'a>> {
+        self.toks.peek()
     }
 
-    fn next(&mut self) -> Result<Tok, HtdError> {
-        let t = self
-            .toks
-            .get(self.pos)
-            .cloned()
-            .ok_or_else(|| parse_err("unexpected end of input"))?;
-        self.pos += 1;
-        Ok(t)
+    fn next(&mut self) -> Result<Tok<'a>, HtdError> {
+        self.toks
+            .next()
+            .ok_or_else(|| parse_err("unexpected end of input"))
     }
 
     fn expect(&mut self, want: Tok) -> Result<(), HtdError> {
@@ -321,7 +301,7 @@ impl Parser {
         }
     }
 
-    fn ident(&mut self, what: &str) -> Result<String, HtdError> {
+    fn ident(&mut self, what: &str) -> Result<&'a str, HtdError> {
         match self.next()? {
             Tok::Ident(s) => Ok(s),
             other => Err(parse_err(format!(
@@ -332,7 +312,7 @@ impl Parser {
     }
 
     /// `Name(term, ...)`, with `Name` already consumed.
-    fn atom_tail(&mut self, relation: String, allow_consts: bool) -> Result<Atom, HtdError> {
+    fn atom_tail(&mut self, relation: &'a str, allow_consts: bool) -> Result<Atom<'a>, HtdError> {
         self.expect(Tok::LParen)?;
         let mut terms = Vec::new();
         if self.peek() == Some(&Tok::RParen) {
@@ -342,7 +322,7 @@ impl Parser {
         loop {
             match self.next()? {
                 Tok::Ident(v) => terms.push(Term::Var(v)),
-                Tok::Num(n) if allow_consts => terms.push(Term::Const(n)),
+                Tok::Num(n) if allow_consts => terms.push(Term::Const(Cow::Borrowed(n))),
                 Tok::Str(s) if allow_consts => terms.push(Term::Const(s)),
                 other if allow_consts => {
                     return Err(parse_err(format!(
@@ -372,8 +352,8 @@ impl Parser {
     }
 
     /// `Head(vars) :- Atom, Atom, ... .` with the head name consumed.
-    fn rule_tail(&mut self, name: String) -> Result<Rule, HtdError> {
-        let head_atom = self.atom_tail(name.clone(), false)?;
+    fn rule_tail(&mut self, name: &'a str) -> Result<Rule<'a>, HtdError> {
+        let head_atom = self.atom_tail(name, false)?;
         let head = head_atom
             .terms
             .into_iter()
@@ -409,13 +389,12 @@ impl Parser {
     }
 
     /// `Name: v v ; v v .` with name and `:` consumed.
-    fn relation_tail(&mut self) -> Result<Vec<Vec<String>>, HtdError> {
+    fn relation_tail(&mut self) -> Result<Tuples<'a>, HtdError> {
         let mut tuples = Vec::new();
-        let mut current: Vec<String> = Vec::new();
+        let mut current = Vec::new();
         loop {
             match self.next()? {
-                Tok::Ident(v) => current.push(v),
-                Tok::Num(v) => current.push(v),
+                Tok::Ident(v) | Tok::Num(v) => current.push(Cow::Borrowed(v)),
                 Tok::Str(v) => current.push(v),
                 Tok::Semi => {
                     if current.is_empty() {
@@ -442,21 +421,21 @@ impl Parser {
 
 /// Reads a whitespace-separated tuples file (one tuple per line,
 /// `%`/`#` comments).
-fn parse_tuples_file(text: &str) -> Vec<Vec<String>> {
+fn parse_tuples_file(text: &str) -> Tuples<'static> {
     text.lines()
         .map(|l| {
             l.split(['%', '#'])
                 .next()
                 .unwrap_or("")
                 .split_whitespace()
-                .map(str::to_string)
+                .map(|v| Cow::Owned(v.to_string()))
                 .collect::<Vec<_>>()
         })
         .filter(|t| !t.is_empty())
         .collect()
 }
 
-fn load_relation_file(path: &str, files: &FileAccess) -> Result<Vec<Vec<String>>, HtdError> {
+fn load_relation_file(path: &str, files: &FileAccess) -> Result<Tuples<'static>, HtdError> {
     let base = match files {
         FileAccess::Deny => {
             return Err(HtdError::Unsupported(
@@ -502,17 +481,17 @@ fn invalid(msg: impl Into<String>) -> HtdError {
     HtdError::Invalid(msg.into())
 }
 
-fn compile(rule: Rule, relations: HashMap<String, Vec<Vec<String>>>) -> Result<Query, HtdError> {
+fn compile(rule: Rule, relations: HashMap<&str, Tuples>) -> Result<Query, HtdError> {
     let mut interner = Interner::default();
-    let mut interned: HashMap<String, Vec<Vec<Value>>> = HashMap::new();
-    let mut var_ids: HashMap<String, VarId> = HashMap::new();
+    let mut interned: HashMap<&str, Vec<Vec<Value>>> = HashMap::new();
+    let mut var_ids: HashMap<&str, VarId> = HashMap::new();
     let mut var_names: Vec<String> = Vec::new();
     let mut constraints: Vec<Constraint> = Vec::new();
     let mut trivially_false = false;
 
     for (ai, atom) in rule.body.iter().enumerate() {
         let data = relations
-            .get(&atom.relation)
+            .get(atom.relation)
             .ok_or_else(|| invalid(format!("unknown relation '{}'", atom.relation)))?;
         if let Some(t) = data.iter().find(|t| t.len() != atom.terms.len()) {
             return Err(invalid(format!(
@@ -522,14 +501,11 @@ fn compile(rule: Rule, relations: HashMap<String, Vec<Vec<String>>>) -> Result<Q
                 atom.terms.len()
             )));
         }
-        let tuples = interned
-            .entry(atom.relation.clone())
-            .or_insert_with(|| {
-                data.iter()
-                    .map(|t| t.iter().map(|v| interner.intern(v)).collect())
-                    .collect()
-            })
-            .clone();
+        let tuples = interned.entry(atom.relation).or_insert_with(|| {
+            data.iter()
+                .map(|t| t.iter().map(|v| interner.intern(v)).collect())
+                .collect()
+        });
 
         // selection plan: for each position, either the constant it must
         // equal, or the position of the variable's first occurrence.
@@ -545,13 +521,13 @@ fn compile(rule: Rule, relations: HashMap<String, Vec<Vec<String>>>) -> Result<Q
         for (p, term) in atom.terms.iter().enumerate() {
             match term {
                 Term::Const(c) => checks.push(Check::Const(interner.intern(c))),
-                Term::Var(v) => match first_pos.get(v.as_str()) {
+                Term::Var(v) => match first_pos.get(v) {
                     Some(&fp) => checks.push(Check::SameAs(fp)),
                     None => {
                         first_pos.insert(v, p);
                         keep.push(p);
-                        let id = *var_ids.entry(v.clone()).or_insert_with(|| {
-                            var_names.push(v.clone());
+                        let id = *var_ids.entry(v).or_insert_with(|| {
+                            var_names.push(v.to_string());
                             (var_names.len() - 1) as VarId
                         });
                         scope.push(id);
@@ -563,7 +539,7 @@ fn compile(rule: Rule, relations: HashMap<String, Vec<Vec<String>>>) -> Result<Q
 
         let mut projected: Vec<Vec<Value>> = Vec::new();
         let mut seen: std::collections::HashSet<Vec<Value>> = std::collections::HashSet::new();
-        'tuple: for t in &tuples {
+        'tuple: for t in tuples.iter() {
             for (p, check) in checks.iter().enumerate() {
                 match check {
                     Check::Const(c) if t[p] != *c => continue 'tuple,
@@ -596,7 +572,7 @@ fn compile(rule: Rule, relations: HashMap<String, Vec<Vec<String>>>) -> Result<Q
         rule.head
             .iter()
             .map(|v| {
-                var_ids.get(v.as_str()).copied().ok_or_else(|| {
+                var_ids.get(v).copied().ok_or_else(|| {
                     invalid(format!("head variable '{v}' does not appear in the body"))
                 })
             })
@@ -614,7 +590,7 @@ fn compile(rule: Rule, relations: HashMap<String, Vec<Vec<String>>>) -> Result<Q
     }
 
     Ok(Query {
-        name: rule.name,
+        name: rule.name.to_string(),
         head,
         csp,
         values: Some(interner.values),
@@ -626,30 +602,29 @@ fn compile(rule: Rule, relations: HashMap<String, Vec<Vec<String>>>) -> Result<Q
 // Entry points
 // ---------------------------------------------------------------------
 
-fn parse_program(
-    text: &str,
+fn parse_program<'a>(
+    text: &'a str,
     files: &FileAccess,
-    extra_relations: HashMap<String, Vec<Vec<String>>>,
+    extra_relations: HashMap<&'a str, Tuples<'a>>,
 ) -> Result<Query, HtdError> {
     let mut parser = Parser {
-        toks: tokenize(text)?,
-        pos: 0,
+        toks: tokenize(text)?.into_iter().peekable(),
     };
     let mut rule: Option<Rule> = None;
     let mut relations = extra_relations;
     while parser.peek().is_some() {
         let name = parser.ident("a rule or relation name")?;
-        match parser.next()? {
-            Tok::LParen => {
-                parser.pos -= 1; // rule_tail re-reads the '('
-                if rule.is_some() {
-                    return Err(parse_err("a program may contain only one rule"));
-                }
-                rule = Some(parser.rule_tail(name)?);
+        if parser.peek() == Some(&Tok::LParen) {
+            if rule.is_some() {
+                return Err(parse_err("a program may contain only one rule"));
             }
+            rule = Some(parser.rule_tail(name)?);
+            continue;
+        }
+        match parser.next()? {
             Tok::Colon => {
                 let tuples = parser.relation_tail()?;
-                if relations.insert(name.clone(), tuples).is_some() {
+                if relations.insert(name, tuples).is_some() {
                     return Err(parse_err(format!("relation '{name}' defined twice")));
                 }
             }
@@ -665,7 +640,7 @@ fn parse_program(
                 };
                 parser.expect(Tok::Dot)?;
                 let tuples = load_relation_file(&path, files)?;
-                if relations.insert(name.clone(), tuples).is_some() {
+                if relations.insert(name, tuples).is_some() {
                     return Err(parse_err(format!("relation '{name}' defined twice")));
                 }
             }
@@ -681,17 +656,17 @@ fn parse_program(
     compile(rule, relations)
 }
 
-fn json_literal(v: &Json) -> Result<String, HtdError> {
+fn json_literal(v: &Json) -> Result<Cow<'_, str>, HtdError> {
     match v {
-        Json::Str(s) => Ok(s.clone()),
+        Json::Str(s) => Ok(Cow::Borrowed(s)),
         Json::Num(n) => {
             if n.fract() == 0.0 && n.abs() < 9e15 {
-                Ok(format!("{}", *n as i64))
+                Ok(Cow::Owned(format!("{}", *n as i64)))
             } else {
-                Ok(n.to_string())
+                Ok(Cow::Owned(n.to_string()))
             }
         }
-        Json::Bool(b) => Ok(b.to_string()),
+        Json::Bool(b) => Ok(Cow::Owned(b.to_string())),
         other => Err(invalid(format!(
             "relation values must be numbers or strings, found {other}"
         ))),
@@ -703,9 +678,8 @@ fn parse_json_query(text: &str, files: &FileAccess) -> Result<Query, HtdError> {
     let query_text = json
         .get("query")
         .and_then(Json::as_str)
-        .ok_or_else(|| parse_err("JSON query needs a string 'query' field"))?
-        .to_string();
-    let mut relations: HashMap<String, Vec<Vec<String>>> = HashMap::new();
+        .ok_or_else(|| parse_err("JSON query needs a string 'query' field"))?;
+    let mut relations = HashMap::new();
     if let Some(Json::Obj(entries)) = json.get("relations") {
         for (name, rel) in entries {
             let rows = match rel {
@@ -728,10 +702,10 @@ fn parse_json_query(text: &str, files: &FileAccess) -> Result<Query, HtdError> {
                 };
                 tuples.push(vals.iter().map(json_literal).collect::<Result<_, _>>()?);
             }
-            relations.insert(name.clone(), tuples);
+            relations.insert(name.as_str(), tuples);
         }
     }
-    parse_program(&query_text, files, relations)
+    parse_program(query_text, files, relations)
 }
 
 /// Parses a conjunctive query in the text or JSON format (sniffed by the
@@ -877,6 +851,47 @@ mod tests {
             query.render_value(query.csp.constraints[0].tuples[0][0]),
             "bos"
         );
+    }
+
+    #[test]
+    fn tokenizer_errors_name_the_fault() {
+        let message = |t: &str| match parse_query(t, &FileAccess::Deny).unwrap_err() {
+            HtdError::Parse(m) => m,
+            other => panic!("{t:?}: expected a parse error, got {other:?}"),
+        };
+        for (text, want) in [
+            ("Q(x) :- R(x, \"open", "unterminated string literal"),
+            ("Q(x) :- R(-x).", "'-' must start a number"),
+            ("Q(x) :- R(x) $", "unexpected character '$'"),
+            ("Q(x) :- R(x) €", "unexpected character '€'"),
+            ("Q(x) :- R(x).\nR: 1 ; ; 2 .", "empty tuple before ';'"),
+            ("Q(x) :- R(x).\nR", "unexpected end of input"),
+            (
+                "Q(x) :- R(x).\nR 1 .",
+                "expected '(', ':' or '@' after 'R' but found number '1'",
+            ),
+            (
+                "Q(\"c\\\"d\") :- R(x).",
+                "head terms must be variables, found string \"c\"d\"",
+            ),
+            (
+                "Q(x) :- R(x) :- S(x).",
+                "expected ',' or '.' after an atom but found ':-'",
+            ),
+        ] {
+            assert_eq!(message(text), want, "{text:?}");
+        }
+    }
+
+    #[test]
+    fn tokens_cover_unicode_escapes_and_comments() {
+        let query = q("Q(ñ_1) :- Rél(ñ_1, y), S(y).\n\
+             Rél: \"a\\\"b\" 1 ; \"c\\d\" -2 ; café 3 .% no newline\n\
+             S: 1 ; -2 ; 3 . # trailing comment");
+        assert_eq!(query.head_names(), vec!["ñ_1"]);
+        let c = &query.csp.constraints[0];
+        let rendered: Vec<String> = c.tuples.iter().map(|t| query.render_value(t[0])).collect();
+        assert_eq!(rendered, vec!["a\"b", "c\\d", "café"]);
     }
 
     #[test]

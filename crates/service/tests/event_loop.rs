@@ -15,7 +15,8 @@ use htd_core::Json;
 use htd_hypergraph::{gen, io};
 use htd_search::Objective;
 use htd_service::{
-    Client, Command, InstanceFormat, Request, Response, ServeOptions, Server, SolveRequest, Status,
+    AnswerMode, Client, Command, InstanceFormat, Request, Response, ServeOptions, Server,
+    SolveRequest, Status,
 };
 
 fn start(opts: ServeOptions) -> (Server, String) {
@@ -432,6 +433,58 @@ fn symmetric_solve_does_not_stall_other_connections() {
     assert!(
         slowest < Duration::from_millis(500),
         "a ping waited {slowest:?} behind the symmetric solve"
+    );
+
+    probe.shutdown().unwrap();
+    server.wait();
+}
+
+/// A large `answer` frame must not hold the loop thread: the loop only
+/// frames it and parses its JSON envelope, which is linear in the
+/// frame's length, and the query itself is parsed and answered off the
+/// loop. A second connection pings every 20 ms while the big request is
+/// in flight; every ping must come back quickly, and the big request
+/// must get a structured reply.
+#[test]
+fn large_answer_frame_does_not_stall_other_connections() {
+    let (server, addr) = start(loop_opts());
+    let target: usize = if cfg!(debug_assertions) {
+        256 << 10
+    } else {
+        1 << 20
+    };
+    let mut query = String::from("Q() :- R(x, y), S(y, z).\nS: 1 2 ; 3 4 .\nR:");
+    let mut i = 0usize;
+    while query.len() < target {
+        let sep = if i == 0 { " " } else { " ; " };
+        query.push_str(&format!("{sep}{} {}", i % 1000, (i * 7) % 1000));
+        i += 1;
+    }
+    query.push_str(" .\n");
+    assert!(query.len() < 8 << 20, "stay well under the frame limit");
+
+    let mut probe = Client::connect(&addr).unwrap();
+    probe.ping().unwrap();
+    let heavy_addr = addr.clone();
+    let heavy = std::thread::spawn(move || {
+        let mut client = Client::connect(&heavy_addr).unwrap();
+        client.set_read_timeout(Some(Duration::from_secs(120)));
+        client.answer(&query, AnswerMode::Boolean, None, Some(60_000))
+    });
+
+    let mut slowest = Duration::ZERO;
+    while !heavy.is_finished() {
+        let t = Instant::now();
+        probe.ping().unwrap();
+        slowest = slowest.max(t.elapsed());
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let r = heavy.join().unwrap().expect("a structured reply");
+    assert_eq!(r.status, Status::Ok, "{:?}", r.error);
+    assert!(r.answer.expect("an answer").satisfiable);
+    assert!(
+        slowest < Duration::from_millis(500),
+        "a ping waited {slowest:?} behind a {target} byte answer frame"
     );
 
     probe.shutdown().unwrap();
